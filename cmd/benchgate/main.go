@@ -8,7 +8,7 @@
 // p50/p95/p99 per endpoint from a `c3iload` artifact).
 //
 //	go test -bench . -benchtime 1x -run '^$' . | benchgate -parse -out BENCH_pr.json
-//	benchgate -parse -in bench.txt -src model_s=records.json -out BENCH_pr.json
+//	benchgate -parse -src benchmarks=bench.txt -src model_s=records.json -out BENCH_pr.json
 //	benchgate -parse -src serve_latency=load.json -out BENCH_serve_pr.json
 //	benchgate -baseline BENCH_baseline.json -current BENCH_pr.json \
 //	    -family benchmarks=2 -family model_s=1.5
@@ -16,9 +16,7 @@
 // -family name=ratio overrides one family's gate (repeatable; unset families
 // use the table defaults). -src name=path feeds one family's source to
 // -parse (repeatable); bare `-parse` with no -src reads `go test -bench`
-// output from stdin, preserving the original pipe idiom. The pre-table
-// flags -in, -records, -max-ratio and -max-model-ratio remain as deprecated
-// aliases.
+// output from stdin, preserving the original pipe idiom.
 package main
 
 import (
@@ -66,19 +64,6 @@ func (f *kvFlag) Set(s string) error {
 	return nil
 }
 
-// set records a value arriving through a deprecated alias flag, deferring to
-// an explicit -family/-src for the same family.
-func (f *kvFlag) set(name, value string) {
-	if _, ok := f.values[name]; ok {
-		return
-	}
-	if f.values == nil {
-		f.values = map[string]string{}
-	}
-	f.keys = append(f.keys, name)
-	f.values[name] = value
-}
-
 func main() {
 	var (
 		parse    = flag.Bool("parse", false, "build a JSON artifact from the -src inputs (no -src: benchmarks from stdin)")
@@ -88,35 +73,16 @@ func main() {
 
 		srcs       = kvFlag{name: "src"}
 		thresholds = kvFlag{name: "family"}
-
-		// Deprecated aliases from the two-family era.
-		in            = flag.String("in", "", "deprecated alias for -src benchmarks=PATH (- = stdin)")
-		records       = flag.String("records", "", "deprecated alias for -src model_s=PATH")
-		maxRatio      = flag.Float64("max-ratio", 0, "deprecated alias for -family benchmarks=RATIO")
-		maxModelRatio = flag.Float64("max-model-ratio", 0, "deprecated alias for -family model_s=RATIO")
 	)
 	flag.Var(&srcs, "src", "family=path source for -parse (repeatable); see internal/benchgate for the declared families")
 	flag.Var(&thresholds, "family", "family=ratio gate override for comparison (repeatable; unset families use table defaults)")
 	flag.Parse()
 
-	if *in != "" {
-		srcs.set(benchgate.FamilyBenchmarks, *in)
-	}
-	if *records != "" {
-		srcs.set(benchgate.FamilyModelS, *records)
-	}
-	if *maxRatio != 0 {
-		thresholds.set(benchgate.FamilyBenchmarks, strconv.FormatFloat(*maxRatio, 'g', -1, 64))
-	}
-	if *maxModelRatio != 0 {
-		thresholds.set(benchgate.FamilyModelS, strconv.FormatFloat(*maxModelRatio, 'g', -1, 64))
-	}
-
 	if len(srcs.keys) > 0 && !*parse {
 		// Sources feed artifact *construction*; in compare mode every family
 		// comes from the artifacts themselves. Silently ignoring them would
 		// skip a gate the caller asked for.
-		fmt.Fprintln(os.Stderr, "benchgate: -src/-in/-records are only meaningful with -parse (compare mode reads families from the artifacts)")
+		fmt.Fprintln(os.Stderr, "benchgate: -src is only meaningful with -parse (compare mode reads families from the artifacts)")
 		os.Exit(2)
 	}
 
@@ -124,7 +90,8 @@ func main() {
 	case *parse:
 		if len(srcs.keys) == 0 {
 			// The original pipe idiom: `go test -bench . | benchgate -parse`.
-			srcs.set(benchgate.FamilyBenchmarks, "-")
+			// Set cannot fail here: a declared family, on an empty set.
+			_ = srcs.Set(benchgate.FamilyBenchmarks + "=-")
 		}
 		rep := &benchgate.Report{}
 		for _, name := range srcs.keys {

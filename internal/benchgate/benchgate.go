@@ -174,19 +174,14 @@ func Parse(r io.Reader) (map[string]float64, error) {
 //
 // The input is the RecordSet envelope, whose failure manifest is enforced
 // here: an artifact that names failed experiments is rejected outright, so
-// the gate can never silently compare against an incomplete sweep (the bare
-// pre-envelope array form is still accepted for old artifacts).
+// the gate can never silently compare against an incomplete sweep.
 func ParseRecords(r io.Reader) (map[string]float64, error) {
 	buf, err := io.ReadAll(r)
 	if err != nil {
 		return nil, fmt.Errorf("benchgate: reading run records: %w", err)
 	}
 	var set run.RecordSet
-	if trimmed := bytes.TrimSpace(buf); len(trimmed) > 0 && trimmed[0] == '[' {
-		if err := json.Unmarshal(buf, &set.Experiments); err != nil {
-			return nil, fmt.Errorf("benchgate: decoding run records: %w", err)
-		}
-	} else if err := json.Unmarshal(buf, &set); err != nil {
+	if err := json.Unmarshal(buf, &set); err != nil {
 		return nil, fmt.Errorf("benchgate: decoding run records: %w", err)
 	}
 	if len(set.Failed) > 0 {

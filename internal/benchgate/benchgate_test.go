@@ -24,8 +24,7 @@ ok  	repro	12.345s
 // shape the bench CI job pipes into the model_s source).
 const sampleRecords = `{"experiments": ` + sampleExperiments + `, "failed": []}`
 
-// sampleExperiments is the experiments array — also the whole document in
-// the pre-envelope format old artifacts use.
+// sampleExperiments is the envelope's experiments array.
 const sampleExperiments = `[
   {
     "experiment": "table5",
@@ -154,6 +153,9 @@ func TestParseRecordsRejectsGarbage(t *testing.T) {
 	if _, err := ParseRecords(strings.NewReader("[]")); err == nil {
 		t.Error("empty records accepted")
 	}
+	if _, err := ParseRecords(strings.NewReader(sampleExperiments)); err == nil {
+		t.Error("bare experiments array accepted without its envelope")
+	}
 	if _, err := ParseRecords(strings.NewReader(`{"experiments": [], "failed": []}`)); err == nil {
 		t.Error("empty envelope accepted")
 	}
@@ -162,18 +164,6 @@ func TestParseRecordsRejectsGarbage(t *testing.T) {
 	}
 	if _, err := ParseRecords(strings.NewReader("")); err == nil {
 		t.Error("empty input accepted")
-	}
-}
-
-func TestParseRecordsAcceptsLegacyArray(t *testing.T) {
-	// Pre-envelope artifacts are a bare experiments array; they must keep
-	// parsing so committed baselines do not need regeneration in lockstep.
-	ms, err := ParseRecords(strings.NewReader(sampleExperiments))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ms) != 2 {
-		t.Errorf("legacy array parsed %d entries, want 2", len(ms))
 	}
 }
 

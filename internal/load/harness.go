@@ -8,7 +8,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/run"
 	"repro/internal/serve"
 )
 
@@ -162,7 +161,7 @@ func (h *Harness) send(ctx context.Context, req request) outcome {
 	t0 := time.Now() //c3ivet:ignore determinism per-request latency measurement is the harness output
 	var err error
 	if req.endpoint == serve.StreamPath {
-		err = h.client.RunStream(ctx, req.specs, func(ev run.StreamEvent) {
+		err = h.client.RunStream(ctx, req.specs, func(ev serve.StreamEvent) {
 			if ev.Error != "" {
 				o.specErrors++
 			} else {

@@ -1,8 +1,10 @@
 // Package router is the sharded, replicated front tier over c3iserve: an
 // http.Handler speaking the same wire API as internal/serve (POST /v1/run,
 // POST /v1/run/stream, GET /healthz, GET /metrics) that partitions each
-// batch's Specs across a configured set of c3iserve shard URLs and fans the
-// sub-batches out concurrently. Shards may be constrained to a workload set
+// batch's Specs across a configured set of c3iserve shard URLs and streams
+// the sub-batches from them concurrently. Toward the shards the router
+// speaks only NDJSON (/v1/run/stream); its own /v1/run is the collected form
+// of that one fan-out. Shards may be constrained to a workload set
 // (partitioning suite *memory*, not just goroutine warmth); within a Spec's
 // candidate shards the router picks by rendezvous hashing on the canonical
 // Spec key, so replicas split a workload's key space stably — adding a shard
@@ -10,14 +12,15 @@
 // its warm caches.
 //
 // The router owns shard health: periodic /healthz probes (and every routed
-// request) feed a per-shard up/degraded/down state machine, a sub-batch sent
-// to a shard that fails is re-partitioned onto the remaining live candidates
-// (failover — safe because Specs are deterministic and shards deduplicate
-// through their caches and the shared record store), and the whole tier is
-// observable through router_shard_* metrics. Because the router serves the
-// identical API, serve.Client — and therefore `c3ibench -remote` — cannot
-// tell a router from a single server: the Records that come back are
-// byte-identical either way.
+// request) feed a per-shard up/degraded/down state machine, the undelivered
+// remainder of a sub-batch whose shard fails is re-partitioned onto the
+// remaining live candidates (failover — safe because Specs are deterministic
+// and shards deduplicate through their caches and the shared record store),
+// and the whole tier is observable through router_shard_* metrics. A caller
+// that hangs up is not a shard failure and is charged to no shard. Because
+// the router serves the identical API, serve.Client — and therefore
+// `c3ibench -remote` — cannot tell a router from a single server: the
+// Records that come back are byte-identical either way.
 package router
 
 import (
@@ -116,7 +119,7 @@ type Router struct {
 	probeTimeout time.Duration
 	shardTimeout time.Duration
 	metrics      *obs.Registry
-	mux          *http.ServeMux
+	handler      http.Handler
 
 	closeOnce sync.Once
 	quit      chan struct{}
@@ -185,11 +188,12 @@ func New(opts Options) (*Router, error) {
 		rt.shards = append(rt.shards, sh)
 		metrics.Gauge(MetricShardUp, obs.Labels{"shard": cfg.URL}).Set(1)
 	}
-	rt.mux = http.NewServeMux()
-	rt.mux.HandleFunc(serve.RunPath, rt.handleRun)
-	rt.mux.HandleFunc(serve.StreamPath, rt.handleStream)
-	rt.mux.HandleFunc(serve.HealthPath, rt.handleHealth)
-	rt.mux.HandleFunc(serve.MetricsPath, rt.handleMetrics)
+	mux := http.NewServeMux()
+	mux.HandleFunc(serve.RunPath, rt.handleRun)
+	mux.HandleFunc(serve.StreamPath, rt.handleStream)
+	mux.HandleFunc(serve.HealthPath, rt.handleHealth)
+	mux.HandleFunc(serve.MetricsPath, rt.handleMetrics)
+	rt.handler = serve.Instrument(mux, metrics, MetricRequests, MetricRequestSeconds, "")
 	return rt, nil
 }
 
@@ -197,52 +201,11 @@ func New(opts Options) (*Router, error) {
 // series, plus the shard clients' attempt counters).
 func (rt *Router) Metrics() *obs.Registry { return rt.metrics }
 
-// ServeHTTP implements http.Handler with the same request middleware shape
-// as the serving tier: latency histogram and a status-class request counter
-// per endpoint.
+// ServeHTTP implements http.Handler: every endpoint runs inside the serving
+// tier's request middleware (serve.Instrument) with the router_* metric
+// names.
 func (rt *Router) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	labels := obs.Labels{"path": endpointLabel(r.URL.Path)}
-	start := time.Now()
-	sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
-	rt.mux.ServeHTTP(sw, r)
-	rt.metrics.Histogram(MetricRequestSeconds, labels, obs.DefLatencyBuckets).
-		Observe(time.Since(start).Seconds())
-	rt.metrics.Counter(MetricRequests,
-		obs.Labels{"path": labels["path"], "code": statusClass(sw.status)}).Inc()
-}
-
-// endpointLabel folds a request path onto the router's bounded label set.
-func endpointLabel(path string) string {
-	switch path {
-	case serve.RunPath, serve.StreamPath, serve.HealthPath, serve.MetricsPath:
-		return path
-	}
-	return "other"
-}
-
-// statusWriter captures the response status for the request counter.
-type statusWriter struct {
-	http.ResponseWriter
-	status int
-}
-
-func (w *statusWriter) WriteHeader(code int) {
-	w.status = code
-	w.ResponseWriter.WriteHeader(code)
-}
-
-// statusClass folds a status code to its class label.
-func statusClass(code int) string {
-	switch {
-	case code < 300:
-		return "2xx"
-	case code < 400:
-		return "3xx"
-	case code < 500:
-		return "4xx"
-	default:
-		return "5xx"
-	}
+	rt.handler.ServeHTTP(w, r)
 }
 
 // Close stops the probe loop. It does not touch the shards — they are
@@ -331,89 +294,93 @@ func (rt *Router) assign(spec run.Spec, excluded map[*shard]bool) (pick, preferr
 	return desperation, preferred
 }
 
-// --- Batch execution ---------------------------------------------------------
+// --- Fan-out -----------------------------------------------------------------
 
-// runBatch partitions the batch, fans sub-batches out to their shards
-// concurrently, and keeps re-partitioning failed sub-batches onto the
-// remaining candidates until every Spec has a record, a per-spec error, or
-// no shard left to try. Failed Specs never fail the batch — the response is
-// positional, exactly like a single c3iserve's.
-func (rt *Router) runBatch(ctx context.Context, specs []run.Spec) serve.BatchResponse {
-	resp := serve.BatchResponse{
-		Records: make([]*run.Record, len(specs)),
-		Errors:  make([]string, len(specs)),
+// fanOut executes the batch over the shards and hands every Spec's event to
+// emit exactly once, never concurrently, as the shards deliver them. Each
+// round plans the pending Specs onto their best live candidates and streams
+// every shard's sub-batch through Client.RunStream, remapping sub-batch
+// indices onto the batch's. A shard that fails loses only its undelivered
+// remainder, which the next round re-plans onto the remaining candidates:
+// delivered events are final, since Specs are deterministic and a record is
+// a record wherever it was computed. Specs left with no shard resolve as
+// routing errors, so failed Specs never fail the batch.
+//
+// A caller that leaves ends the fan-out without charging any shard: a call
+// cut short by the request context says nothing about the shard's health,
+// so it feeds neither the state machine nor the failover counter.
+func (rt *Router) fanOut(ctx context.Context, specs []run.Spec, emit func(serve.StreamEvent)) {
+	var mu sync.Mutex // serializes emit, and guards excluded and refeed
+	send := func(ev serve.StreamEvent) {
+		mu.Lock()
+		defer mu.Unlock()
+		emit(ev)
 	}
 	pending := make([]int, len(specs))
 	for i := range specs {
 		pending[i] = i
 	}
 	excluded := map[*shard]bool{}
-	for len(pending) > 0 {
-		groups, failovers := rt.plan(specs, pending, excluded, resp.Errors)
-		for sh, n := range failovers {
-			rt.metrics.Counter(MetricShardFailovers, obs.Labels{"shard": sh.cfg.URL}).Add(n)
-		}
-		if len(groups) == 0 {
-			break
-		}
-		var mu sync.Mutex
+	for len(pending) > 0 && ctx.Err() == nil {
 		var wg sync.WaitGroup
 		var refeed []int
-		for sh, idxs := range groups {
+		for sh, idxs := range rt.plan(specs, pending, excluded, send) {
 			wg.Add(1)
-			go func(sh *shard, idxs []int) {
+			go func() {
 				defer wg.Done()
 				sub := make([]run.Spec, len(idxs))
 				for j, i := range idxs {
 					sub[j] = specs[i]
 				}
-				br, err := sh.client.RunBatch(ctx, sub)
+				delivered := make([]bool, len(idxs))
+				err := sh.client.RunStream(ctx, sub, func(ev serve.StreamEvent) {
+					delivered[ev.Index] = true
+					ev.Index = idxs[ev.Index]
+					send(ev)
+				})
+				if ctx.Err() != nil {
+					return // the caller left; not the shard's failure
+				}
 				rt.observeShard(sh, err == nil)
-				if err != nil {
-					// The whole sub-batch fails over: exclude the shard for
-					// this batch and re-partition its Specs.
-					rt.metrics.Counter(MetricShardFailovers, obs.Labels{"shard": sh.cfg.URL}).Inc()
-					mu.Lock()
-					excluded[sh] = true
-					refeed = append(refeed, idxs...)
-					mu.Unlock()
+				if err == nil {
 					return
 				}
+				rt.metrics.Counter(MetricShardFailovers, obs.Labels{"shard": sh.cfg.URL}).Inc()
 				mu.Lock()
+				defer mu.Unlock()
+				excluded[sh] = true
 				for j, i := range idxs {
-					resp.Records[i] = br.Records[j]
-					resp.Errors[i] = br.Errors[j]
+					if !delivered[j] {
+						refeed = append(refeed, i)
+					}
 				}
-				mu.Unlock()
-			}(sh, idxs)
+			}()
 		}
 		wg.Wait()
 		sort.Ints(refeed)
 		pending = refeed
 	}
-	return resp
 }
 
-// plan partitions the pending Spec indices into per-shard groups. Specs with
-// no remaining shard get their error written into errs directly; Specs whose
-// health-blind preferred shard was bypassed (down) are tallied per bypassed
-// shard in the returned failover map.
-func (rt *Router) plan(specs []run.Spec, pending []int, excluded map[*shard]bool, errs []string) (map[*shard][]int, map[*shard]int64) {
+// plan partitions the pending Spec indices into per-shard groups. A Spec
+// whose health-blind preferred shard is bypassed (down) counts a failover
+// against that shard; a Spec with no remaining shard resolves now, as an
+// error event through emit.
+func (rt *Router) plan(specs []run.Spec, pending []int, excluded map[*shard]bool, emit func(serve.StreamEvent)) map[*shard][]int {
 	groups := map[*shard][]int{}
-	failovers := map[*shard]int64{}
 	for _, i := range pending {
 		pick, preferred := rt.assign(specs[i], excluded)
 		if pick == nil {
-			errs[i] = fmt.Sprintf("router: no live shard serves workload %q (%d shards excluded)",
-				specs[i].Workload, len(excluded))
+			emit(serve.StreamEvent{Index: i, Error: fmt.Sprintf("router: no live shard serves workload %q (%d shards excluded)",
+				specs[i].Workload, len(excluded))})
 			continue
 		}
 		if pick != preferred {
-			failovers[preferred]++
+			rt.metrics.Counter(MetricShardFailovers, obs.Labels{"shard": preferred.cfg.URL}).Inc()
 		}
 		groups[pick] = append(groups[pick], i)
 	}
-	return groups, failovers
+	return groups
 }
 
 // observeShard feeds one request outcome into the shard's state machine and
@@ -428,13 +395,35 @@ func (rt *Router) observeShard(sh *shard, ok bool) {
 }
 
 // handleRun answers POST /v1/run with the same positional contract as a
-// single c3iserve — the router is transparent to serve.Client.
+// single c3iserve — the collected form of the fan-out's stream, so the
+// router is transparent to serve.Client.
 func (rt *Router) handleRun(w http.ResponseWriter, r *http.Request) {
 	specs, ok := serve.DecodeBatch(w, r)
 	if !ok {
 		return
 	}
-	serve.WriteJSON(w, http.StatusOK, rt.runBatch(r.Context(), specs))
+	resp := serve.BatchResponse{Records: make([]*run.Record, len(specs)), Errors: make([]string, len(specs))}
+	rt.fanOut(r.Context(), specs, func(ev serve.StreamEvent) {
+		resp.Records[ev.Index], resp.Errors[ev.Index] = ev.Record, ev.Error
+	})
+	serve.WriteJSON(w, http.StatusOK, resp)
+}
+
+// handleStream answers POST /v1/run/stream with the fan-out's events as one
+// merged NDJSON stream, each written (and flushed) the moment its shard
+// delivers it, however many shards are computing.
+func (rt *Router) handleStream(w http.ResponseWriter, r *http.Request) {
+	specs, ok := serve.DecodeBatch(w, r)
+	if !ok {
+		return
+	}
+	write := serve.StartStream(w)
+	gone := false
+	rt.fanOut(r.Context(), specs, func(ev serve.StreamEvent) {
+		// Once a write fails the client is gone; the remaining events are
+		// dropped while the shards finish and warm their caches.
+		gone = gone || !write(ev)
+	})
 }
 
 // handleMetrics answers GET /metrics with the Prometheus text exposition of
@@ -449,7 +438,8 @@ func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	rt.metrics.WritePrometheus(w)
 }
 
-// shardTimeoutCtx derives the context a probe runs under.
+// probeCtx derives the context a health probe runs under, bounded by
+// ProbeTimeout.
 func (rt *Router) probeCtx() (context.Context, context.CancelFunc) {
 	return context.WithTimeout(context.Background(), rt.probeTimeout)
 }

@@ -468,6 +468,56 @@ func TestRouterStreamFailover(t *testing.T) {
 	}
 }
 
+func TestRouterCallerCancelIsNotShardFailure(t *testing.T) {
+	// A caller that gives up is not a shard failure: with both shards
+	// hanging, three single-spec batches cancelled by their callers must
+	// leave both shards up, routable and uncharged with failovers.
+	hanging := func() string {
+		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			// Read the body first: only then does the server watch the
+			// connection and cancel the context when the caller hangs up.
+			_, _ = io.Copy(io.Discard, r.Body)
+			<-r.Context().Done()
+		}))
+		t.Cleanup(ts.Close)
+		return ts.URL
+	}
+	urls := []string{hanging(), hanging()}
+	_, ts, client := newRouter(t, router.Options{Shards: shardConfigs(urls...)})
+	for i := 0; i < 3; i++ {
+		ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+		_, err := client.RunBatch(ctx, []run.Spec{hookSpec(900 + i)})
+		cancel()
+		if err == nil {
+			t.Fatal("a batch against hanging shards succeeded")
+		}
+	}
+	// The router finishes each abandoned request after its caller has gone;
+	// wait until all three are on its books before reading shard health.
+	want := `router_requests_total{code="2xx",path="/v1/run"} 3`
+	deadline := time.Now().Add(10 * time.Second)
+	for !strings.Contains(fetchMetrics(t, ts), want) {
+		if time.Now().After(deadline) {
+			t.Fatalf("router never finished the cancelled batches (%s)", want)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	body := fetchMetrics(t, ts)
+	for _, u := range urls {
+		if up := fmt.Sprintf("router_shard_up{shard=%q} 1", u); !strings.Contains(body, up) {
+			t.Errorf("metrics missing %s:\n%s", up, body)
+		}
+	}
+	if strings.Contains(body, "router_shard_failovers_total") {
+		t.Errorf("cancelled callers charged shard failovers:\n%s", body)
+	}
+	for _, sh := range fetchRouterHealth(t, ts).Shards {
+		if sh.State != "up" {
+			t.Errorf("shard %s is %s after cancelled callers, want up", sh.URL, sh.State)
+		}
+	}
+}
+
 func TestRouterProbesRecoverShard(t *testing.T) {
 	// Probes bring a down shard back: kill it, drive it down, revive it, and
 	// the next probe marks it up again.

@@ -48,11 +48,7 @@ type Executor interface {
 	Run(ctx context.Context, spec Spec) (Record, error)
 }
 
-// The Runner is both faces of the run API: batch and stream.
-var (
-	_ Executor       = (*Runner)(nil)
-	_ StreamExecutor = (*Runner)(nil)
-)
+var _ Executor = (*Runner)(nil)
 
 // Runner executes Specs. It owns the two caches every consumer shares: the
 // memoized (and pre-warmed) scenario suites per workload×scale, and the

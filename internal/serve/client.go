@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
@@ -72,14 +71,7 @@ type Client struct {
 	Metrics *obs.Registry
 }
 
-// The Client is the remote implementation of both faces of the run API:
-// batch (Executor, via Run/RunAll) and stream (StreamExecutor, via
-// RunStream) — consumers pick a transport through the interfaces, never a
-// concrete client method.
-var (
-	_ run.Executor       = (*Client)(nil)
-	_ run.StreamExecutor = (*Client)(nil)
-)
+var _ run.Executor = (*Client)(nil)
 
 // StatusError is the typed error RunBatch and RunStream return when the
 // server answered with a non-200 status (after retries are exhausted, for
@@ -309,36 +301,7 @@ func (c *Client) RunStream(ctx context.Context, specs []run.Spec, fn func(Stream
 		buf, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
 		return fmt.Errorf("serve: %w", statusError(resp, buf))
 	}
-	seen := make([]bool, len(specs))
-	events := 0
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 64<<10), 16<<20)
-	for sc.Scan() {
-		line := bytes.TrimSpace(sc.Bytes())
-		if len(line) == 0 {
-			continue
-		}
-		var ev StreamEvent
-		if err := json.Unmarshal(line, &ev); err != nil {
-			return fmt.Errorf("serve: decoding stream line %d: %w", events, err)
-		}
-		if ev.Index < 0 || ev.Index >= len(specs) {
-			return fmt.Errorf("serve: stream event index %d out of range for %d specs", ev.Index, len(specs))
-		}
-		if seen[ev.Index] {
-			return fmt.Errorf("serve: stream delivered spec %d twice", ev.Index)
-		}
-		seen[ev.Index] = true
-		events++
-		fn(ev)
-	}
-	if err := sc.Err(); err != nil {
-		return fmt.Errorf("serve: reading stream: %w", err)
-	}
-	if events != len(specs) {
-		return fmt.Errorf("serve: stream ended after %d of %d specs", events, len(specs))
-	}
-	return nil
+	return readStream(resp.Body, len(specs), fn)
 }
 
 // RunAll executes a Spec batch remotely and returns records positionally,

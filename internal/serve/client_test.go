@@ -111,9 +111,10 @@ func TestClientHonorsRetryAfterDate(t *testing.T) {
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		times = append(times, time.Now())
 		if len(times) == 1 {
-			// +1.5s so the whole-second truncation of the date format still
-			// leaves the advertised time ≥ 1s ahead of now.
-			w.Header().Set("Retry-After", time.Now().Add(1500*time.Millisecond).UTC().Format(http.TimeFormat))
+			// The date format carries whole seconds only, so advertise a
+			// whole second two seconds past the current one: wherever in its
+			// second the request lands, the date stays more than 1s ahead.
+			w.Header().Set("Retry-After", time.Now().Truncate(time.Second).Add(2*time.Second).UTC().Format(http.TimeFormat))
 			serve.WriteJSON(w, http.StatusTooManyRequests, serve.ErrorResponse{Error: "busy"})
 			return
 		}
@@ -130,9 +131,9 @@ func TestClientHonorsRetryAfterDate(t *testing.T) {
 	if len(times) != 2 {
 		t.Fatalf("server saw %d attempts, want 2", len(times))
 	}
-	// The advertised date is ≥ 1s ahead even after its whole-second
-	// truncation; a wait well past the millisecond backoff proves the date
-	// was parsed rather than ignored. 700ms leaves scheduling slack.
+	// The advertised date is more than 1s ahead; a wait well past the
+	// millisecond backoff proves the date was parsed rather than ignored.
+	// 700ms leaves scheduling slack.
 	if gap := times[1].Sub(times[0]); gap < 700*time.Millisecond {
 		t.Errorf("retry came after %v; the HTTP-date Retry-After was ignored", gap)
 	}
@@ -157,7 +158,7 @@ func TestClientStatusError(t *testing.T) {
 	if se.Code != http.StatusTooManyRequests || se.Msg != "queue full" {
 		t.Errorf("StatusError = %+v, want code 429 with the server's message", se)
 	}
-	if err := c.RunStream(context.Background(), []run.Spec{{Workload: "x"}}, func(run.StreamEvent) {}); !errors.As(err, &se) {
+	if err := c.RunStream(context.Background(), []run.Spec{{Workload: "x"}}, func(serve.StreamEvent) {}); !errors.As(err, &se) {
 		t.Errorf("RunStream error %v does not unwrap to *StatusError", err)
 	} else if se.Code != http.StatusTooManyRequests {
 		t.Errorf("RunStream StatusError code = %d, want 429", se.Code)

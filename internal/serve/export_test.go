@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"io"
 	"net/http"
 	"time"
 )
@@ -27,3 +28,6 @@ const (
 	MaxRetryBackoffForTest = maxRetryBackoff
 	MaxRetryAfterForTest   = maxRetryAfter
 )
+
+// ReadStreamForTest exposes the NDJSON stream reader to the fuzz target.
+func ReadStreamForTest(r io.Reader, n int, fn func(StreamEvent)) error { return readStream(r, n, fn) }

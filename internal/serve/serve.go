@@ -1,7 +1,10 @@
 // Package serve exposes the run API over HTTP/JSON — the serving layer the
 // Spec→Record separation was built for. A POST to /v1/run carries a batch of
 // run.Spec values and returns positional run.Records with per-spec errors,
-// executed through one shared run.Runner; /healthz reports liveness plus the
+// executed through one shared run.Runner. Both run endpoints share one
+// execution path: every Spec resolves as one StreamEvent, which
+// /v1/run/stream writes as NDJSON the moment it completes and /v1/run
+// collects into one BatchResponse. /healthz reports liveness plus the
 // runner's execution and store-failure counters, which is how a caller (or
 // the CI smoke job) asserts that a repeated batch was served from cache
 // rather than recomputed.
@@ -24,7 +27,6 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"runtime"
-	"strings"
 	"sync"
 	"time"
 
@@ -145,7 +147,7 @@ type Server struct {
 	queue    int
 	slowdown time.Duration
 	metrics  *obs.Registry
-	mux      *http.ServeMux
+	handler  http.Handler
 
 	mu     sync.RWMutex
 	store  *run.DiskStore
@@ -155,16 +157,15 @@ type Server struct {
 	wg     sync.WaitGroup
 }
 
-// task is one Spec handed to a workload pool.
+// task is one admitted Spec, handed to its workload pool. Whoever takes it
+// from the queue — a worker that runs it, or Close abandoning it — sends its
+// one event onto the batch's channel, which holds the whole batch so the
+// send never blocks.
 type task struct {
-	ctx  context.Context
-	spec run.Spec
-	done chan taskResult
-}
-
-type taskResult struct {
-	rec run.Record
-	err error
+	ctx    context.Context
+	index  int
+	spec   run.Spec
+	events chan<- StreamEvent
 }
 
 // New builds a Server executing batches through runner. The server's request
@@ -190,116 +191,92 @@ func New(runner *run.Runner, opts Options) *Server {
 		pools:    map[string]chan task{},
 		quit:     make(chan struct{}),
 	}
-	s.mux = http.NewServeMux()
-	s.mux.HandleFunc(RunPath, s.handleRun)
-	s.mux.HandleFunc(StreamPath, s.handleStream)
-	s.mux.HandleFunc(HealthPath, s.handleHealth)
-	s.mux.HandleFunc(MetricsPath, s.handleMetrics)
+	mux := http.NewServeMux()
+	mux.HandleFunc(RunPath, s.handleRun)
+	mux.HandleFunc(StreamPath, s.handleStream)
+	mux.HandleFunc(HealthPath, s.handleHealth)
+	mux.HandleFunc(MetricsPath, s.handleMetrics)
 	if opts.Pprof {
-		s.mux.HandleFunc(PprofPrefix, pprof.Index)
-		s.mux.HandleFunc(PprofPrefix+"cmdline", pprof.Cmdline)
-		s.mux.HandleFunc(PprofPrefix+"profile", pprof.Profile)
-		s.mux.HandleFunc(PprofPrefix+"symbol", pprof.Symbol)
-		s.mux.HandleFunc(PprofPrefix+"trace", pprof.Trace)
+		mux.HandleFunc(PprofPrefix, pprof.Index)
+		mux.HandleFunc(PprofPrefix+"cmdline", pprof.Cmdline)
+		mux.HandleFunc(PprofPrefix+"profile", pprof.Profile)
+		mux.HandleFunc(PprofPrefix+"symbol", pprof.Symbol)
+		mux.HandleFunc(PprofPrefix+"trace", pprof.Trace)
 	}
+	s.handler = Instrument(mux, s.metrics, MetricRequests, MetricRequestSeconds, MetricInflight, PprofPrefix)
 	return s
 }
 
-// ServeHTTP implements http.Handler, wrapping every endpoint in the request
-// middleware: per-endpoint in-flight gauge, latency histogram, and a
-// request counter labeled by status class.
+// ServeHTTP implements http.Handler: every endpoint runs inside the request
+// middleware (Instrument) with the serve_* metric names.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	labels := obs.Labels{"path": endpointLabel(r.URL.Path)}
-	if s.slowdown > 0 && (labels["path"] == RunPath || labels["path"] == StreamPath) {
+	if s.slowdown > 0 && (r.URL.Path == RunPath || r.URL.Path == StreamPath) {
 		time.Sleep(s.slowdown) // injected fault; see Options.Slowdown
 	}
-	inflight := s.metrics.Gauge(MetricInflight, labels)
-	inflight.Inc()
-	start := time.Now()
-	sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
-	s.mux.ServeHTTP(sw, r)
-	inflight.Dec()
-	s.metrics.Histogram(MetricRequestSeconds, labels, obs.DefLatencyBuckets).
-		Observe(time.Since(start).Seconds())
-	s.metrics.Counter(MetricRequests,
-		obs.Labels{"path": labels["path"], "code": statusClass(sw.status)}).Inc()
-}
-
-// endpointLabel folds a request path onto a bounded label set: the known
-// endpoints by name, anything else to "other", so arbitrary request paths
-// cannot grow unbounded metric series.
-func endpointLabel(path string) string {
-	switch path {
-	case RunPath, StreamPath, HealthPath, MetricsPath:
-		return path
-	}
-	if strings.HasPrefix(path, PprofPrefix) {
-		return PprofPrefix
-	}
-	return "other"
-}
-
-// statusWriter captures the response status for the request counter.
-type statusWriter struct {
-	http.ResponseWriter
-	status int
-}
-
-func (w *statusWriter) WriteHeader(code int) {
-	w.status = code
-	w.ResponseWriter.WriteHeader(code)
-}
-
-// statusClass folds a status code to its class label.
-func statusClass(code int) string {
-	switch {
-	case code < 300:
-		return "2xx"
-	case code < 400:
-		return "3xx"
-	case code < 500:
-		return "4xx"
-	default:
-		return "5xx"
-	}
+	s.handler.ServeHTTP(w, r)
 }
 
 // Close stops every workload pool. Close never closes the task channels
 // themselves — a handler still dispatching past a drain deadline must get a
 // per-spec "shut down" error, not a send-on-closed-channel panic — it
-// signals a quit channel every worker and submission selects on. Workers
-// finish the task they hold (the simulation is not preemptible) and exit;
-// Close returns once they have. Safe to call more than once.
+// signals a quit channel every worker selects on, and answers every task
+// still queued with a shut-down event, so each admitted Spec still gets its
+// one event. Workers finish the task they hold (the simulation is not
+// preemptible) and exit; Close returns once they have. Safe to call more
+// than once.
 func (s *Server) Close() {
 	s.mu.Lock()
 	if !s.closed {
 		s.closed = true
 		close(s.quit)
+		for workload, ch := range s.pools {
+			depth := s.metrics.Gauge(MetricPoolQueueDepth, obs.Labels{"workload": workload})
+		sweep:
+			for {
+				select {
+				case t := <-ch:
+					depth.Dec()
+					t.events <- StreamEvent{Index: t.index, Error: errShutDown.Error()}
+				default:
+					break sweep
+				}
+			}
+		}
 	}
 	s.mu.Unlock()
 	s.wg.Wait()
 }
 
-// pool returns the workload's task channel, starting its workers on first
-// use. Callers have already validated the workload against the registry, so
-// pools exist only for real workloads — garbage requests cannot grow the
-// pool map.
-func (s *Server) pool(workload string) (chan task, error) {
+// The dispatch failures: the server is closed, or admission control turned
+// the Spec away because its workload pool's bounded queue had no room.
+var (
+	errShutDown  = errors.New("serve: server is shut down")
+	errQueueFull = errors.New("serve: workload queue is full")
+)
+
+// dispatch hands one validated Spec to its workload pool without ever
+// blocking: the pool's bounded queue either has room now or the Spec is
+// rejected (errQueueFull) for the caller to turn into a 429. A pool's
+// workers start on first use. The queue is only sent to under the server
+// lock, so no task can land behind Close's sweep of the queues.
+func (s *Server) dispatch(t task) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
-		return nil, fmt.Errorf("serve: server is shut down")
+		return errShutDown
 	}
+	workload := t.spec.Workload
+	labels := obs.Labels{"workload": workload}
+	// The queue-depth gauge spans the window a Spec sits in the bounded
+	// queue before a worker picks it up: sustained nonzero depth on /metrics
+	// means this pool is saturated, and depth at capacity is what turns into
+	// 429 rejections.
+	depth := s.metrics.Gauge(MetricPoolQueueDepth, labels)
 	ch, ok := s.pools[workload]
 	if !ok {
 		ch = make(chan task, s.queue)
 		s.pools[workload] = ch
-		s.metrics.Gauge(MetricPoolWorkers, obs.Labels{"workload": workload}).Set(int64(s.workers))
-		// The queue-depth gauge spans the window a Spec sits in the bounded
-		// queue before a worker picks it up: sustained nonzero depth on
-		// /metrics means this pool is saturated, and depth at capacity is
-		// what turns into 429 rejections.
-		depth := s.metrics.Gauge(MetricPoolQueueDepth, obs.Labels{"workload": workload})
+		s.metrics.Gauge(MetricPoolWorkers, labels).Set(int64(s.workers))
 		for i := 0; i < s.workers; i++ {
 			s.wg.Add(1)
 			go func() {
@@ -311,66 +288,65 @@ func (s *Server) pool(workload string) (chan task, error) {
 					case t := <-ch:
 						depth.Dec()
 						rec, err := s.runner.Run(t.ctx, t.spec)
-						t.done <- taskResult{rec, err}
+						ev := StreamEvent{Index: t.index, Record: &rec}
+						if err != nil {
+							ev = StreamEvent{Index: t.index, Error: err.Error()}
+						}
+						t.events <- ev
 					}
 				}
 			}()
 		}
 	}
-	return ch, nil
-}
-
-// errQueueFull is the admission-control rejection: the workload pool's
-// bounded queue had no room for the Spec.
-var errQueueFull = fmt.Errorf("serve: workload queue is full")
-
-// dispatch hands one validated Spec to its workload pool without ever
-// blocking: the pool's bounded queue either has room now or the Spec is
-// rejected (errQueueFull) for the caller to turn into a 429. Results arrive
-// on done (buffered, so the worker's send never blocks).
-func (s *Server) dispatch(ctx context.Context, spec run.Spec, done chan taskResult) error {
-	ch, err := s.pool(spec.Workload)
-	if err != nil {
-		return err
-	}
-	depth := s.metrics.Gauge(MetricPoolQueueDepth, obs.Labels{"workload": spec.Workload})
 	depth.Inc()
 	select {
-	case ch <- task{ctx: ctx, spec: spec, done: done}:
+	case ch <- t:
 		return nil
 	default:
 		depth.Dec()
-		s.metrics.Counter(MetricRejected, obs.Labels{"workload": spec.Workload}).Inc()
+		s.metrics.Counter(MetricRejected, labels).Inc()
 		return errQueueFull
 	}
 }
 
-// rejectOverload answers a full-queue dispatch with 429 + Retry-After —
-// the admission-control contract the client's backoff and the router's
-// failover are written against.
-func rejectOverload(w http.ResponseWriter, spec run.Spec, index int) {
-	w.Header().Set("Retry-After", "1")
-	WriteJSON(w, http.StatusTooManyRequests, ErrorResponse{
-		Error: fmt.Sprintf("workload %q pool queue is full (spec %d); retry later", spec.Workload, index),
-	})
-}
-
-// collect waits for one dispatched task's result. During a shutdown the
-// bounded queue may still hold tasks no worker will ever take, so waiting
-// selects the quit signal too — preferring a result that raced it — and
-// reports ok=false when the task was abandoned.
-func (s *Server) collect(done chan taskResult) (taskResult, bool) {
-	select {
-	case res := <-done:
-		return res, true
-	case <-s.quit:
-		select {
-		case res := <-done:
-			return res, true
-		default:
-			return taskResult{}, false
+// admit is the one admission path both run endpoints share. It decodes the
+// batch and dispatches every Spec before the response's first byte, so a
+// full workload queue still answers a clean 429 with Retry-After — the
+// contract the client's backoff and the router's failover are written
+// against. Each Spec then resolves as exactly one event on the returned
+// channel: its Record or error from a worker, or an immediate per-spec error
+// (unknown workload, server shut down). The channel holds the whole batch,
+// so no sender blocks even after the handler has returned. ok=false means
+// the response has already been written.
+func (s *Server) admit(w http.ResponseWriter, r *http.Request) (events <-chan StreamEvent, n int, ok bool) {
+	specs, ok := DecodeBatch(w, r)
+	if !ok {
+		return nil, 0, false
+	}
+	ch := make(chan StreamEvent, len(specs))
+	for i, spec := range specs {
+		// Validate the workload before pooling: unknown workloads answer as
+		// per-spec errors and never spawn a pool.
+		if _, err := suite.Lookup(spec.Workload); err != nil {
+			ch <- StreamEvent{Index: i, Error: err.Error()}
+			continue
+		}
+		switch err := s.dispatch(task{ctx: r.Context(), index: i, spec: spec, events: ch}); {
+		case errors.Is(err, errQueueFull):
+			// Reject the whole batch rather than block the handler on a
+			// saturated pool. Specs dispatched above ride the request
+			// context, which cancels when this handler returns — a rejected
+			// batch abandons its queued work instead of loading the pool.
+			w.Header().Set("Retry-After", "1")
+			WriteJSON(w, http.StatusTooManyRequests, ErrorResponse{
+				Error: fmt.Sprintf("workload %q pool queue is full (spec %d); retry later", spec.Workload, i),
+			})
+			return nil, 0, false
+		case err != nil:
+			ch <- StreamEvent{Index: i, Error: err.Error()}
 		}
 	}
+	return ch, len(specs), true
 }
 
 // DecodeBatch reads and decodes the Spec batch POSTed to /v1/run or
@@ -423,56 +399,17 @@ func DecodeBatch(w http.ResponseWriter, r *http.Request) ([]run.Spec, bool) {
 	return specs, true
 }
 
-// handleRun answers POST /v1/run.
+// handleRun answers POST /v1/run: the collected form of the stream, one
+// positional BatchResponse once every Spec's event has arrived.
 func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
-	specs, ok := DecodeBatch(w, r)
+	events, n, ok := s.admit(w, r)
 	if !ok {
 		return
 	}
-	resp := BatchResponse{
-		Records: make([]*run.Record, len(specs)),
-		Errors:  make([]string, len(specs)),
-	}
-	results := make([]chan taskResult, len(specs))
-	for i, spec := range specs {
-		// Validate the workload before pooling: unknown workloads answer as
-		// structured per-spec errors (the batch still returns), and never
-		// spawn a pool.
-		if _, err := suite.Lookup(spec.Workload); err != nil {
-			resp.Errors[i] = err.Error()
-			continue
-		}
-		done := make(chan taskResult, 1)
-		switch err := s.dispatch(r.Context(), spec, done); {
-		case err == nil:
-			results[i] = done
-		case errors.Is(err, errQueueFull):
-			// Admission control: reject the whole batch rather than block
-			// the handler on a saturated pool. Specs dispatched above ride
-			// the request context, which cancels when this handler returns —
-			// a rejected batch abandons its queued work instead of loading
-			// the saturated pool further.
-			rejectOverload(w, spec, i)
-			return
-		default:
-			resp.Errors[i] = err.Error()
-		}
-	}
-	for i, done := range results {
-		if done == nil {
-			continue
-		}
-		res, ok := s.collect(done)
-		if !ok {
-			resp.Errors[i] = "serve: server is shut down"
-			continue
-		}
-		if res.err != nil {
-			resp.Errors[i] = res.err.Error()
-			continue
-		}
-		rec := res.rec
-		resp.Records[i] = &rec
+	resp := BatchResponse{Records: make([]*run.Record, n), Errors: make([]string, n)}
+	for range n {
+		ev := <-events
+		resp.Records[ev.Index], resp.Errors[ev.Index] = ev.Record, ev.Error
 	}
 	WriteJSON(w, http.StatusOK, resp)
 }

@@ -1,98 +1,104 @@
 package serve
 
 import (
+	"bufio"
+	"bytes"
 	"encoding/json"
-	"errors"
+	"fmt"
+	"io"
 	"net/http"
 
-	"repro/internal/c3i/suite"
 	"repro/internal/run"
 )
 
-// StreamEvent is one line of a /v1/run/stream response: NDJSON, one JSON
-// object per line, emitted as each Spec's Record completes rather than at
-// batch end. Index addresses the submitted batch positionally, and exactly
-// one of Record and Error is set — the same per-spec contract as
-// BatchResponse, delivered incrementally. Every submitted Spec produces
-// exactly one event; arrival order is completion order, not batch order.
-// The type lives in run (it is the streaming execution API's event, not a
-// serving invention); the alias keeps the serving tier's wire vocabulary.
-type StreamEvent = run.StreamEvent
-
-// streamEvent renders a task result as its event.
-func streamEvent(index int, res taskResult) StreamEvent {
-	return run.Event(index, res.rec, res.err)
+// StreamEvent is one Spec's result in both serving tiers, and one line of a
+// /v1/run/stream response: NDJSON, one JSON object per line, emitted as each
+// Spec's Record completes rather than at batch end. Index addresses the
+// submitted batch positionally, and exactly one of Record and Error is set —
+// the same per-spec contract as BatchResponse, which is the collected form
+// of the stream. Every submitted Spec produces exactly one event; arrival
+// order is completion order, not batch order.
+type StreamEvent struct {
+	Index  int         `json:"index"`
+	Record *run.Record `json:"record,omitempty"`
+	Error  string      `json:"error,omitempty"`
 }
 
-// handleStream answers POST /v1/run/stream: the same Spec batch as /v1/run,
-// but the response is NDJSON StreamEvents written (and flushed) as Records
-// complete, so a long sweep yields results incrementally. Admission control
-// is decided before the first byte is written — a full workload queue still
-// answers a clean 429 — after which the response is committed and per-spec
-// problems travel as error events.
+// StartStream commits a 200 NDJSON response and returns the function that
+// writes one event line and flushes it, so the caller sees each Record the
+// moment it completes. It reports false once the client is gone. Shared by
+// the serving tier and the router, so both stream the same dialect.
+func StartStream(w http.ResponseWriter) func(StreamEvent) bool {
+	w.Header().Set("Content-Type", "application/x-ndjson")
+	w.WriteHeader(http.StatusOK)
+	enc := json.NewEncoder(w) // no indent: one event per line
+	rc := http.NewResponseController(w)
+	return func(ev StreamEvent) bool {
+		if enc.Encode(ev) != nil {
+			return false
+		}
+		// A writer that cannot flush still delivers every line, only later;
+		// a client gone mid-flush fails the next Encode.
+		_ = rc.Flush()
+		return true
+	}
+}
+
+// handleStream answers POST /v1/run/stream: the same admitted batch as
+// /v1/run, but each event is written (and flushed) as it completes. Once the
+// first byte is out the response is committed, so per-spec problems travel
+// as error events.
 func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
-	specs, ok := DecodeBatch(w, r)
+	events, n, ok := s.admit(w, r)
 	if !ok {
 		return
 	}
-	// Dispatch everything first. Immediate failures (unknown workload, shut
-	// down) become events up front; dispatched Specs get a collector that
-	// forwards their result to the shared events channel. The channel holds
-	// the whole batch, so collectors never block and cannot leak even if the
-	// client disconnects mid-stream.
-	events := make(chan StreamEvent, len(specs))
-	pre := make([]StreamEvent, 0, len(specs))
-	pending := 0
-	for i, spec := range specs {
-		if _, err := suite.Lookup(spec.Workload); err != nil {
-			pre = append(pre, StreamEvent{Index: i, Error: err.Error()})
-			continue
-		}
-		done := make(chan taskResult, 1)
-		switch err := s.dispatch(r.Context(), spec, done); {
-		case err == nil:
-			pending++
-			go func(i int, done chan taskResult) {
-				if res, ok := s.collect(done); ok {
-					events <- streamEvent(i, res)
-				} else {
-					events <- StreamEvent{Index: i, Error: "serve: server is shut down"}
-				}
-			}(i, done)
-		case errors.Is(err, errQueueFull):
-			rejectOverload(w, spec, i)
-			return
-		default:
-			pre = append(pre, StreamEvent{Index: i, Error: err.Error()})
-		}
-	}
-
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.WriteHeader(http.StatusOK)
-	flusher, _ := w.(http.Flusher)
-	enc := json.NewEncoder(w) // no indent: one event per line
-	emit := func(ev StreamEvent) bool {
-		if err := enc.Encode(ev); err != nil {
-			return false // client gone; collectors drain into the buffer
-		}
-		if flusher != nil {
-			flusher.Flush()
-		}
-		return true
-	}
-	for _, ev := range pre {
-		if !emit(ev) {
-			return
-		}
-	}
-	for n := 0; n < pending; n++ {
+	write := StartStream(w)
+	for range n {
 		select {
 		case ev := <-events:
-			if !emit(ev) {
-				return
+			if !write(ev) {
+				return // client gone; the rest drain into the buffer
 			}
 		case <-r.Context().Done():
 			return
 		}
 	}
+}
+
+// readStream reads the NDJSON answer to an n-Spec batch from r, handing each
+// event to fn as its line arrives, and holds the stream to its contract:
+// every line is one JSON event, every index addresses the batch, none
+// arrives twice, and the stream does not end before all n have arrived.
+func readStream(r io.Reader, n int, fn func(StreamEvent)) error {
+	seen := make([]bool, n)
+	events := 0
+	sc := bufio.NewScanner(r)
+	sc.Buffer(make([]byte, 64<<10), 16<<20)
+	for sc.Scan() {
+		line := bytes.TrimSpace(sc.Bytes())
+		if len(line) == 0 {
+			continue
+		}
+		var ev StreamEvent
+		if err := json.Unmarshal(line, &ev); err != nil {
+			return fmt.Errorf("serve: decoding stream line %d: %w", events, err)
+		}
+		if ev.Index < 0 || ev.Index >= n {
+			return fmt.Errorf("serve: stream event index %d out of range for %d specs", ev.Index, n)
+		}
+		if seen[ev.Index] {
+			return fmt.Errorf("serve: stream delivered spec %d twice", ev.Index)
+		}
+		seen[ev.Index] = true
+		events++
+		fn(ev)
+	}
+	if err := sc.Err(); err != nil {
+		return fmt.Errorf("serve: reading stream: %w", err)
+	}
+	if events != n {
+		return fmt.Errorf("serve: stream ended after %d of %d specs", events, n)
+	}
+	return nil
 }

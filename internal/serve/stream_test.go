@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -15,16 +16,45 @@ import (
 	"repro/internal/c3i/suite"
 	"repro/internal/machine"
 	"repro/internal/obs"
+	"repro/internal/router"
 	"repro/internal/run"
 	"repro/internal/serve"
 )
 
-// A workload whose runs block on a gate, so the admission-control tests can
-// hold a worker busy and fill the queue deterministically.
+// A workload whose runs block on a gate, so the admission-control and
+// streaming tests can hold a worker busy deterministically. A Spec's "gate"
+// param names its gate, and every test makes its own: a rerun (-count=N)
+// never finds a gate an earlier run already opened.
 var (
-	gateStarted = make(chan struct{}, 16)
-	gateRelease = make(chan struct{})
+	gates   sync.Map // gate id -> *gate
+	gateIDs atomic.Int64
 )
+
+type gate struct {
+	id int
+	// started gets a token as each gated run begins; its buffer exceeds the
+	// runs any test starts, so a run never blocks announcing itself.
+	started chan struct{}
+	release chan struct{}
+	once    sync.Once
+}
+
+// newGate registers a fresh gate, opened at the latest when the test ends.
+func newGate(t *testing.T) *gate {
+	g := &gate{id: int(gateIDs.Add(1)), started: make(chan struct{}, 16), release: make(chan struct{})}
+	gates.Store(g.id, g)
+	t.Cleanup(g.open)
+	return g
+}
+
+// open releases every run blocked on the gate, now and later.
+func (g *gate) open() { g.once.Do(func() { close(g.release) }) }
+
+// spec is a serve-gate Spec that blocks on g.
+func (g *gate) spec(work int) run.Spec {
+	return run.Spec{Workload: "serve-gate", Variant: "sequential", Platform: "alpha", Procs: 1,
+		Params: suite.Params{"work": work, "gate": g.id}}
+}
 
 func init() {
 	suite.MustRegister(&suite.Workload{
@@ -36,10 +66,11 @@ func init() {
 		},
 		Variants: []*suite.Variant{{
 			Name: "sequential", Style: suite.Sequential,
-			Defaults: suite.Params{"work": 100},
+			Defaults: suite.Params{"work": 100, "gate": 0},
 			Run: func(t *machine.Thread, sc suite.Scenario, p suite.Params) suite.Output {
-				gateStarted <- struct{}{}
-				<-gateRelease
+				g, _ := gates.Load(p["gate"])
+				g.(*gate).started <- struct{}{}
+				<-g.(*gate).release
 				t.Compute(int64(p["work"]))
 				return suite.Output{Checksum: uint64(p["work"])}
 			},
@@ -52,11 +83,6 @@ type gateScenario struct{}
 func (gateScenario) ScenarioName() string { return "sg-1" }
 func (gateScenario) Units() int           { return 1 }
 func (gateScenario) Warm()                {}
-
-func gateSpec(work int) run.Spec {
-	return run.Spec{Workload: "serve-gate", Variant: "sequential", Platform: "alpha", Procs: 1,
-		Params: suite.Params{"work": work}}
-}
 
 func TestServeStreamMatchesBatch(t *testing.T) {
 	// /v1/run/stream delivers every spec exactly once (the client verifies
@@ -160,22 +186,23 @@ func TestServeAdmissionControl(t *testing.T) {
 		srv.Close()
 	}()
 	client := &serve.Client{Addr: ts.URL, HTTP: ts.Client(), Retries: -1}
+	g := newGate(t)
 
 	// Occupy the worker.
 	firstDone := make(chan error, 1)
 	go func() {
-		_, err := client.RunAll(context.Background(), []run.Spec{gateSpec(1)})
+		_, err := client.RunAll(context.Background(), []run.Spec{g.spec(1)})
 		firstDone <- err
 	}()
 	select {
-	case <-gateStarted:
+	case <-g.started:
 	case <-time.After(10 * time.Second):
 		t.Fatal("gated run never started")
 	}
 
 	// Fill the queue (spec 2) and overflow it (spec 3). Raw POST: a retrying
 	// client would mask the 429.
-	body, _ := json.Marshal([]run.Spec{gateSpec(2), gateSpec(3)})
+	body, _ := json.Marshal([]run.Spec{g.spec(2), g.spec(3)})
 	resp, err := ts.Client().Post(ts.URL+serve.RunPath, "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
@@ -193,7 +220,7 @@ func TestServeAdmissionControl(t *testing.T) {
 	}
 
 	// Release the gate: the occupied worker and the queued spec finish.
-	close(gateRelease)
+	g.open()
 	if err := <-firstDone; err != nil {
 		t.Fatalf("gated batch failed: %v", err)
 	}
@@ -211,6 +238,109 @@ func TestServeAdmissionControl(t *testing.T) {
 	mbuf, _ := io.ReadAll(mresp.Body)
 	if want := `serve_rejected_total{workload="serve-gate"} 1`; !strings.Contains(string(mbuf), want) {
 		t.Errorf("metrics missing %q:\n%s", want, mbuf)
+	}
+}
+
+func TestServeCloseAnswersQueuedSpecs(t *testing.T) {
+	// Close with Specs still queued behind a busy worker: no worker will ever
+	// take them, so each must resolve as a shut-down error at once, not
+	// leave its request waiting on the worker or the gate. The Spec the
+	// worker holds still finishes, and its caller gets the Record.
+	runner := run.NewRunner(0)
+	srv := serve.New(runner, serve.Options{WorkersPerWorkload: 1, QueueDepth: 4})
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+	client := &serve.Client{Addr: ts.URL, HTTP: ts.Client(), Retries: -1}
+	g := newGate(t)
+
+	held := make(chan error, 1)
+	go func() {
+		_, err := client.RunAll(context.Background(), []run.Spec{g.spec(1)})
+		held <- err
+	}()
+	<-g.started
+	queued := make(chan serve.BatchResponse, 1)
+	go func() {
+		br, err := client.RunBatch(context.Background(), []run.Spec{g.spec(2), g.spec(3)})
+		if err != nil {
+			t.Errorf("queued batch: %v", err)
+		}
+		queued <- br
+	}()
+	depth := runner.Metrics().Gauge(serve.MetricPoolQueueDepth, obs.Labels{"workload": "serve-gate"})
+	for deadline := time.Now().Add(10 * time.Second); depth.Value() != 2; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the batch never queued behind the busy worker")
+		}
+	}
+
+	closed := make(chan struct{})
+	go func() {
+		srv.Close()
+		close(closed)
+	}()
+	select {
+	case br := <-queued:
+		for i, e := range br.Errors {
+			if !strings.Contains(e, "shut down") {
+				t.Errorf("queued spec %d: error %q, want a shut-down error", i, e)
+			}
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("queued specs were not answered while Close waited on the busy worker")
+	}
+	g.open()
+	<-closed
+	if err := <-held; err != nil {
+		t.Errorf("the spec a worker held was not finished: %v", err)
+	}
+}
+
+func TestStreamFlushesEachEvent(t *testing.T) {
+	// A fast Spec's event must reach the client while its gated sibling is
+	// still running: straight from a shard, and through a router over it. A
+	// stream whose lines sit in a write buffer until the batch ends fails.
+	for _, tier := range []string{"shard", "router"} {
+		t.Run(tier, func(t *testing.T) {
+			ts, _, client := newServer(t, "")
+			if tier == "router" {
+				rt, err := router.New(router.Options{Shards: []router.Shard{{URL: ts.URL}}})
+				if err != nil {
+					t.Fatal(err)
+				}
+				rts := httptest.NewServer(rt)
+				t.Cleanup(func() {
+					rts.Close()
+					rt.Close()
+				})
+				client = &serve.Client{Addr: rts.URL, HTTP: rts.Client()}
+			}
+			g := newGate(t)
+			fast := make(chan serve.StreamEvent, 1)
+			done := make(chan error, 1)
+			go func() {
+				done <- client.RunStream(context.Background(), []run.Spec{g.spec(1), hookSpec(3100)},
+					func(ev serve.StreamEvent) {
+						if ev.Index == 1 {
+							fast <- ev
+						}
+					})
+			}()
+			select {
+			case ev := <-fast:
+				if ev.Record == nil {
+					t.Errorf("fast spec streamed error %q", ev.Error)
+				}
+			case err := <-done:
+				t.Fatalf("stream ended while its gated spec was still running: %v", err)
+			case <-time.After(10 * time.Second):
+				t.Fatal("the fast spec's event did not arrive while its sibling was gated: events are not flushed")
+			}
+			g.open()
+			if err := <-done; err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }
 
