@@ -244,10 +244,14 @@ func TestAllExperimentsRun(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full experiment sweep is slow")
 	}
+	golden := map[string][]goldenRecord{}
 	for _, e := range All() {
 		res, err := e.Run(testCfg)
 		if err != nil {
 			t.Fatalf("%s: %v", e.ID, err)
+		}
+		if len(res.Records) > 0 {
+			golden[e.ID] = goldenOf(res.Records)
 		}
 		if len(res.Tables) == 0 {
 			t.Errorf("%s: no tables produced", e.ID)
@@ -261,6 +265,7 @@ func TestAllExperimentsRun(t *testing.T) {
 			}
 		}
 	}
+	checkGolden(t, golden)
 }
 
 func TestFiguresProducedForSpeedupTables(t *testing.T) {
