@@ -32,21 +32,25 @@ import (
 // together, absorbing float rounding in long simulations.
 const eps = 1e-7
 
-// job is one client's outstanding service request.
+// job is one client's outstanding service request. Finished jobs, with
+// their wait queues, are kept for reuse by later Serve calls.
 type job struct {
 	wq     *sim.WaitQ // parks exactly one proc
 	target float64    // S value at which the job completes
 	work   float64
-	index  int // heap index
 }
 
+// jobHeap orders jobs by target through container/heap. Equal targets
+// have no tiebreak: their order, and so the order their procs wake in, is
+// whatever container/heap's sift sequence leaves. Changing the heap changes
+// Records.
 type jobHeap []*job
 
-func (h jobHeap) Len() int            { return len(h) }
-func (h jobHeap) Less(i, j int) bool  { return h[i].target < h[j].target }
-func (h jobHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i]; h[i].index = i; h[j].index = j }
-func (h *jobHeap) Push(x interface{}) { j := x.(*job); j.index = len(*h); *h = append(*h, j) }
-func (h *jobHeap) Pop() interface{} {
+func (h jobHeap) Len() int           { return len(h) }
+func (h jobHeap) Less(i, j int) bool { return h[i].target < h[j].target }
+func (h jobHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
+func (h *jobHeap) Push(x any)        { *h = append(*h, x.(*job)) }
+func (h *jobHeap) Pop() any {
 	old := *h
 	n := len(old)
 	j := old[n-1]
@@ -64,9 +68,10 @@ type Queue struct {
 	cap  float64 // per-client units per cycle; <=0 means uncapped
 
 	jobs  jobHeap
+	free  []*job  // finished jobs, for reuse
 	s     float64 // cumulative per-client (equal-share) service
 	lastT sim.Time
-	timer *sim.Timer
+	timer *sim.Timer // the next completion; re-armed in place
 
 	served   float64 // total work completed
 	busy     float64 // integral of actual service rate over time
@@ -81,7 +86,9 @@ func New(k *sim.Kernel, name string, rate, perClientCap float64) *Queue {
 	if rate <= 0 {
 		panic(fmt.Sprintf("psq %s: rate must be positive, got %g", name, rate))
 	}
-	return &Queue{k: k, name: name, rate: rate, cap: perClientCap}
+	q := &Queue{k: k, name: name, rate: rate, cap: perClientCap}
+	q.timer = k.NewTimer(q.complete)
+	return q
 }
 
 // Name returns the queue's diagnostic name.
@@ -122,13 +129,10 @@ func (q *Queue) advance() {
 	q.lastT = now
 }
 
-// resched arranges the next completion event.
+// resched moves the completion timer to the head job's completion.
 func (q *Queue) resched() {
-	if q.timer != nil {
-		q.timer.Cancel()
-		q.timer = nil
-	}
 	if len(q.jobs) == 0 {
+		q.timer.Cancel()
 		return
 	}
 	r := q.currentRate()
@@ -136,7 +140,7 @@ func (q *Queue) resched() {
 	if dt < 0 {
 		dt = 0
 	}
-	q.timer = q.k.After(dt, q.complete)
+	q.timer.Reset(q.k.Now() + dt)
 }
 
 // tol is the completion tolerance. It must scale with the magnitude of the
@@ -149,7 +153,6 @@ func (q *Queue) tol() float64 {
 
 // complete finishes all jobs whose targets have been reached.
 func (q *Queue) complete() {
-	q.timer = nil
 	q.advance()
 	popped := false
 	for len(q.jobs) > 0 && q.jobs[0].target <= q.s+q.tol() {
@@ -184,7 +187,14 @@ func (q *Queue) Serve(p *sim.Proc, work float64) {
 		return
 	}
 	q.advance()
-	j := &job{wq: sim.NewWaitQ(q.name), target: q.s + work, work: work}
+	var j *job
+	if n := len(q.free); n > 0 {
+		j = q.free[n-1]
+		q.free = q.free[:n-1]
+	} else {
+		j = &job{wq: sim.NewWaitQ(q.name)}
+	}
+	j.target, j.work = q.s+work, work
 	heap.Push(&q.jobs, j)
 	q.arrivals++
 	if len(q.jobs) > q.maxQ {
@@ -192,6 +202,7 @@ func (q *Queue) Serve(p *sim.Proc, work float64) {
 	}
 	q.resched()
 	j.wq.Wait(p, "awaiting service")
+	q.free = append(q.free, j)
 }
 
 // Active reports the number of clients currently in service.

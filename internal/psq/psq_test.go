@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -276,5 +277,58 @@ func TestLongRunNumericalStability(t *testing.T) {
 	want := 21.0 * 21 * 10000
 	if math.Abs(end-want)/want > 1e-9 {
 		t.Errorf("end = %v, want %v", end, want)
+	}
+}
+
+// TestEqualTargetWakeOrder pins the order in which jobs with equal targets
+// complete. The job heap has no tiebreak, so this order is whatever its
+// sift sequence gives; a FIFO tiebreak or a different heap would change it,
+// and with it the order procs resume in and so every Record.
+func TestEqualTargetWakeOrder(t *testing.T) {
+	k := sim.NewKernel()
+	q := New(k, "pin", 1.0, 0)
+	var order []string
+	for i := 0; i < 8; i++ {
+		k.Spawn(fmt.Sprintf("c%d", i), func(p *sim.Proc) {
+			q.Serve(p, 5)
+			order = append(order, fmt.Sprintf("%s@%g", p.Name(), p.Now()))
+		})
+	}
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	want := "c0@40 c7@40 c6@40 c5@40 c4@40 c3@40 c2@40 c1@40"
+	if got := strings.Join(order, " "); got != want {
+		t.Errorf("wake order = %q, want %q", got, want)
+	}
+}
+
+// TestServeAllocsDoNotGrow shows that Serve allocates nothing in steady
+// state: a run with twice the Serve calls allocates no more, for a capped
+// queue (MTA issue logic) and an uncapped one (an SMP bus).
+func TestServeAllocsDoNotGrow(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		cap  float64
+	}{{"capped", 1.0 / 21}, {"uncapped", 0}} {
+		run := func(n int) {
+			k := sim.NewKernel()
+			q := New(k, "pin", 1.0, tc.cap)
+			for c := 0; c < 8; c++ {
+				k.Spawn("c", func(p *sim.Proc) {
+					for i := 0; i < n; i++ {
+						q.Serve(p, 3)
+					}
+				})
+			}
+			_ = k.Run()
+		}
+		const n = 500
+		a1 := testing.AllocsPerRun(5, func() { run(n) })
+		a2 := testing.AllocsPerRun(5, func() { run(2 * n) })
+		if a2 > a1 {
+			t.Errorf("%s: %v allocations for %d Serve calls per client, %v for %d; want no growth",
+				tc.name, a1, n, a2, 2*n)
+		}
 	}
 }

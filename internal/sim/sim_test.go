@@ -229,8 +229,10 @@ func TestDeadlockDetection(t *testing.T) {
 	if len(de.Blocked) != 1 || !strings.Contains(de.Blocked[0], "stuck") {
 		t.Errorf("Blocked = %v, want [stuck (...)]", de.Blocked)
 	}
-	if !strings.Contains(de.Error(), "forever") {
-		t.Errorf("error message %q missing park reason", de.Error())
+	// Park reasons are joined only when a deadlock is reported; the message
+	// must still name the wait queue and the reason given to Wait.
+	if !strings.Contains(de.Error(), "stuck (nobody-wakes-this: forever)") {
+		t.Errorf("error message %q missing wait queue and park reason", de.Error())
 	}
 }
 
