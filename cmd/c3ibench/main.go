@@ -14,7 +14,7 @@
 //	c3ibench -run table5,table6    # several
 //	c3ibench -all                  # everything, in paper order
 //	c3ibench -all -jobs 4          # same results, computed by 4 parallel workers
-//	c3ibench -all -md              # markdown output (for EXPERIMENTS.md)
+//	c3ibench -all -md              # markdown output
 //	c3ibench -run table5 -json     # machine-readable run records (CI artifact)
 //	c3ibench -scale-ta 0.5 ...     # bigger Threat Analysis workload
 //	c3ibench -scale-ro 1 ...       # full Route Optimization workload

@@ -10,9 +10,9 @@ import (
 
 // Costs is the charging calibration for the Terrain Masking kernel,
 // calibrated so the five-scenario suite at scale 1 lands on the paper's
-// sequential times (Table 8); see EXPERIMENTS.md. The benchmark is
-// memory-bound: most of its time is cache misses on the conventional
-// machines and exposed memory latency on the MTA.
+// sequential times (Table 8). The benchmark is memory-bound: most of its
+// time is cache misses on the conventional machines and exposed memory
+// latency on the MTA.
 type Costs struct {
 	OpsPerVisit        int64 // instructions per ray-visited cell
 	StreamRefsPerVisit int   // streamed references (elevation, temp, altitude layers)

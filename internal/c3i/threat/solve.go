@@ -12,7 +12,7 @@ import (
 // abstract operations and memory references the original C program performs
 // per simulation step. OpsPerStep is calibrated so the five-scenario suite
 // at scale 1 takes ≈187 simulated seconds on the AlphaStation model (the
-// paper's Table 2); see EXPERIMENTS.md.
+// paper's Table 2).
 type Costs struct {
 	OpsPerStep      int64 // instructions per time step (geometry, envelope tests)
 	TrajRefsPerStep int   // streaming reads of the input trajectory samples

@@ -1,7 +1,8 @@
 // Package experiments regenerates every table and figure of the paper's
-// evaluation (Tables 2–12, Figures 1–4), plus the ablations DESIGN.md calls
-// out. Each experiment runs the real benchmark programs through the machine
-// models and reports the model's numbers side by side with the paper's.
+// evaluation (Tables 2–12, Figures 1–4), plus ablations of the model's
+// design choices. Each experiment runs the real benchmark programs through
+// the machine models and reports the model's numbers side by side with the
+// paper's.
 //
 // Experiments are consumers of the internal/run execution API: each table,
 // ablation and projection declares run.Specs (resolved through the
@@ -14,7 +15,7 @@
 // counts); reported model times are normalized back to scale 1, so they are
 // directly comparable with the paper columns. Comparisons are about shape —
 // who wins, by what factor, where the curves bend — not absolute seconds;
-// EXPERIMENTS.md records both for every table.
+// every table prints both.
 package experiments
 
 import (

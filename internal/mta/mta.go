@@ -51,7 +51,7 @@ type Params struct {
 // DefaultParams returns the calibrated MTA-1 parameters used throughout the
 // reproduction. OpsPerInstr reflects the 3-wide LIW instruction word with
 // imperfect packing; MemLatency and the network factors are tuned so the
-// model lands on the paper's sequential/parallel ratios (see EXPERIMENTS.md).
+// model lands on the paper's sequential/parallel ratios (tables 2–12).
 func DefaultParams(procs int) Params {
 	return Params{
 		Procs:           procs,
