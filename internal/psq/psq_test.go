@@ -321,7 +321,9 @@ func TestServeAllocsDoNotGrow(t *testing.T) {
 					}
 				})
 			}
-			_ = k.Run()
+			if err := k.Run(); err != nil {
+				t.Error(err)
+			}
 		}
 		const n = 500
 		a1 := testing.AllocsPerRun(5, func() { run(n) })

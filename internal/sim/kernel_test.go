@@ -119,9 +119,10 @@ func TestNoGoroutinesAfterProcPanic(t *testing.T) {
 
 // timerScript drives a seeded random mix of At, Cancel, re-arm and Sleep
 // from several procs and kernel callbacks, with integer delays so that many
-// firings tie on time. rearm moves a pending timer to time t and returns
-// the handle to keep. It returns the log of firings and wake-ups.
-func timerScript(seed int64, rearm func(k *Kernel, tm *Timer, t Time, fn func()) *Timer) []string {
+// firings tie on time. rearm moves a timer to time at and returns the handle
+// to keep. It returns the log of firings and wake-ups.
+func timerScript(t *testing.T, seed int64, rearm func(k *Kernel, tm *Timer, at Time, fn func()) *Timer) []string {
+	t.Helper()
 	k := NewKernel()
 	rng := rand.New(rand.NewSource(seed))
 	var log []string
@@ -162,7 +163,7 @@ func timerScript(seed int64, rearm func(k *Kernel, tm *Timer, t Time, fn func())
 		})
 	}
 	if err := k.Run(); err != nil {
-		panic(err)
+		t.Fatalf("seed %d: %v", seed, err)
 	}
 	return log
 }
@@ -177,15 +178,14 @@ func TestTimerResetOrdersLikeCancelAndReschedule(t *testing.T) {
 		return k.At(at, fn)
 	}
 	for seed := int64(1); seed <= 20; seed++ {
-		got := timerScript(seed, reset)
-		want := timerScript(seed, reschedule)
+		got := timerScript(t, seed, reset)
+		want := timerScript(t, seed, reschedule)
 		if len(got) < 100 {
 			t.Fatalf("seed %d: only %d firings; the script exercises too little", seed, len(got))
 		}
-		for i := range want {
-			if i >= len(got) || got[i] != want[i] {
-				t.Fatalf("seed %d: firing %d differs: re-arm gives %v, cancel-and-reschedule gives %s",
-					seed, i, got[i:min(i+1, len(got))], want[i])
+		for i := 0; i < min(len(got), len(want)); i++ {
+			if got[i] != want[i] {
+				t.Fatalf("seed %d: firing %d is %s with re-arm, %s with cancel-and-reschedule", seed, i, got[i], want[i])
 			}
 		}
 		if len(got) != len(want) {
@@ -313,17 +313,12 @@ func TestNewTimerIdleUntilReset(t *testing.T) {
 	}
 }
 
-// allocsFor reports the heap allocations of one whole kernel run.
-func allocsFor(run func()) float64 {
-	return testing.AllocsPerRun(5, run)
-}
-
 // checkFlatAllocs fails unless a run with 2n operations allocates no more
 // than one with n: the per-operation cost is zero in steady state.
 func checkFlatAllocs(t *testing.T, what string, n int, run func(n int)) {
 	t.Helper()
-	a1 := allocsFor(func() { run(n) })
-	a2 := allocsFor(func() { run(2 * n) })
+	a1 := testing.AllocsPerRun(5, func() { run(n) })
+	a2 := testing.AllocsPerRun(5, func() { run(2 * n) })
 	if a2 > a1 {
 		t.Errorf("%s: %v allocations for %d, %v for %d; want no growth", what, a1, n, a2, 2*n)
 	}
@@ -339,7 +334,9 @@ func TestSleepAllocsDoNotGrow(t *testing.T) {
 				}
 			})
 		}
-		_ = k.Run()
+		if err := k.Run(); err != nil {
+			t.Error(err)
+		}
 	})
 }
 
@@ -360,6 +357,8 @@ func TestWaitQAllocsDoNotGrow(t *testing.T) {
 				p.Sleep(1)
 			}
 		})
-		_ = k.Run()
+		if err := k.Run(); err != nil {
+			t.Error(err)
+		}
 	})
 }
