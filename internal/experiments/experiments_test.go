@@ -245,6 +245,7 @@ func TestAllExperimentsRun(t *testing.T) {
 		t.Skip("full experiment sweep is slow")
 	}
 	golden := map[string][]goldenRecord{}
+	rendered := map[string]string{}
 	for _, e := range All() {
 		res, err := e.Run(testCfg)
 		if err != nil {
@@ -253,6 +254,7 @@ func TestAllExperimentsRun(t *testing.T) {
 		if len(res.Records) > 0 {
 			golden[e.ID] = goldenOf(res.Records)
 		}
+		rendered[e.ID] = renderHash(res)
 		if len(res.Tables) == 0 {
 			t.Errorf("%s: no tables produced", e.ID)
 		}
@@ -265,7 +267,8 @@ func TestAllExperimentsRun(t *testing.T) {
 			}
 		}
 	}
-	checkGolden(t, golden)
+	checkGolden(t, goldenPath, golden, firstDiff)
+	checkGolden(t, renderedPath, rendered, hashDiff)
 }
 
 func TestFiguresProducedForSpeedupTables(t *testing.T) {

@@ -14,14 +14,20 @@ import (
 	"repro/internal/run"
 )
 
-var update = flag.Bool("update", false, "rewrite testdata/golden/records.json from this run's Records")
+var update = flag.Bool("update", false, "rewrite testdata/golden/records.json and rendered.json from this run")
 
 // goldenPath holds, for every experiment at testCfg, each Record it
 // executed in execution order: the Record's key and a hash of everything
-// deterministic in it. A diff is either a bug or a deliberate model change;
-// a deliberate one is regenerated with `go test ./internal/experiments
-// -run TestAllExperimentsRun -update`.
-var goldenPath = filepath.Join("testdata", "golden", "records.json")
+// deterministic in it; experiments that execute no Records are absent from
+// it. renderedPath holds, for every experiment, a hash of
+// its rendered output: every table, every figure at c3ibench's size and the
+// free text. A diff in either is a bug or a deliberate change; a deliberate
+// one is regenerated with `go test ./internal/experiments -run
+// TestAllExperimentsRun -update`.
+var (
+	goldenPath   = filepath.Join("testdata", "golden", "records.json")
+	renderedPath = filepath.Join("testdata", "golden", "rendered.json")
+)
 
 // goldenRecord identifies one Record: its canonical key and the hash of its
 // deterministic content.
@@ -51,31 +57,38 @@ func goldenOf(recs []run.Record) []goldenRecord {
 	return out
 }
 
-// checkGolden compares every experiment's Records against the committed
-// golden file, or rewrites it under -update. Experiments that execute no
-// Records are absent from the file.
-func checkGolden(t *testing.T, got map[string][]goldenRecord) {
+// renderHash hashes an experiment's rendered output, cut to 16 hex digits.
+func renderHash(res *Result) string {
+	sum := sha256.Sum256([]byte(render(res)))
+	return hex.EncodeToString(sum[:8])
+}
+
+// checkGolden compares every experiment's entry in got against the committed
+// golden file at path, or rewrites the file under -update. diff describes how
+// one experiment's entries differ, or returns "" when they match; an
+// experiment absent from one side is compared as T's zero value.
+func checkGolden[T any](t *testing.T, path string, got map[string]T, diff func(want, got T) string) {
 	t.Helper()
 	if *update {
 		buf, err := json.MarshalIndent(got, "", "  ")
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := os.MkdirAll(filepath.Dir(goldenPath), 0o755); err != nil {
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(goldenPath, append(buf, '\n'), 0o644); err != nil {
+		if err := os.WriteFile(path, append(buf, '\n'), 0o644); err != nil {
 			t.Fatal(err)
 		}
 		return
 	}
-	buf, err := os.ReadFile(goldenPath)
+	buf, err := os.ReadFile(path)
 	if err != nil {
-		t.Fatalf("reading golden records (regenerate with -update): %v", err)
+		t.Fatalf("reading %s (regenerate with -update): %v", path, err)
 	}
-	var want map[string][]goldenRecord
+	var want map[string]T
 	if err := json.Unmarshal(buf, &want); err != nil {
-		t.Fatalf("parsing %s: %v", goldenPath, err)
+		t.Fatalf("parsing %s: %v", path, err)
 	}
 	ids := map[string]bool{}
 	for id := range want {
@@ -90,10 +103,18 @@ func checkGolden(t *testing.T, got map[string][]goldenRecord) {
 	}
 	sort.Strings(sorted)
 	for _, id := range sorted {
-		if msg := firstDiff(want[id], got[id]); msg != "" {
-			t.Errorf("%s: Records differ from %s: %s", id, goldenPath, msg)
+		if msg := diff(want[id], got[id]); msg != "" {
+			t.Errorf("%s: differs from %s: %s", id, path, msg)
 		}
 	}
+}
+
+// hashDiff describes a rendered-output hash mismatch, or returns "".
+func hashDiff(want, got string) string {
+	if want == got {
+		return ""
+	}
+	return fmt.Sprintf("rendered output hashes to %q, want %q", got, want)
 }
 
 // firstDiff describes the first position where two Record lists differ, or
