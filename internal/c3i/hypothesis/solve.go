@@ -94,24 +94,6 @@ func NewLayout(t *machine.Thread, s *Scenario, c Costs) *Layout {
 // references land on different lines.
 const scatterStride = 64
 
-// burstWrapped emits n references as one or more bursts that stay inside the
-// region, wrapping to offset zero — the charge-preserving analogue of the
-// other workloads' wrapped bursts.
-func burstWrapped(t *machine.Thread, r *mem.Region, stride, elem uint64, n int, write, dep bool) {
-	if n <= 0 {
-		return
-	}
-	per := int((r.Size-elem)/stride) + 1
-	for n > 0 {
-		k := n
-		if k > per {
-			k = per
-		}
-		t.Burst(mem.Burst{Region: r, Stride: stride, Elem: elem, N: k, Write: write, Dep: dep})
-		n -= k
-	}
-}
-
 // chargeScan charges one batch of the scoring scan: streamed observation
 // reads plus pair tests streaming the hypothesis array.
 func (lay *Layout) chargeScan(t *machine.Thread, obsN, pairs int) {
@@ -120,8 +102,8 @@ func (lay *Layout) chargeScan(t *machine.Thread, obsN, pairs int) {
 	}
 	c := lay.Costs
 	t.Compute(int64(pairs) * c.OpsPerPair)
-	burstWrapped(t, lay.Obs, 16, 16, obsN*c.ObsRefsPerObs, false, false)
-	burstWrapped(t, lay.Hyps, 24, 24, pairs*c.HypRefsPerPair, false, false)
+	t.BurstWrapped(lay.Obs, 16, 16, obsN*c.ObsRefsPerObs, false, false)
+	t.BurstWrapped(lay.Hyps, 24, 24, pairs*c.HypRefsPerPair, false, false)
 }
 
 // chargeUpdates charges one batch of evidence commits into a score array —
@@ -133,8 +115,8 @@ func (lay *Layout) chargeUpdates(t *machine.Thread, r *mem.Region, gated int) {
 	}
 	c := lay.Costs
 	t.Compute(int64(gated) * c.OpsPerUpdate)
-	burstWrapped(t, r, scatterStride, 8, gated*c.DepRefsPerUpdate, false, true)
-	burstWrapped(t, r, scatterStride, 8, gated, true, false)
+	t.BurstWrapped(r, scatterStride, 8, gated*c.DepRefsPerUpdate, false, true)
+	t.BurstWrapped(r, scatterStride, 8, gated, true, false)
 }
 
 // chargeMerge charges merging a range of n hypotheses from every private
@@ -147,10 +129,10 @@ func (lay *Layout) chargeMerge(t *machine.Thread, privs []*mem.Region, n int) {
 	}
 	t.Compute(int64(n) * int64(len(privs)) * lay.Costs.OpsPerMerge)
 	for _, r := range privs {
-		burstWrapped(t, r, 8, 8, n, false, false)
+		t.BurstWrapped(r, 8, 8, n, false, false)
 	}
-	burstWrapped(t, lay.Scores, 8, 8, n, false, false)
-	burstWrapped(t, lay.Scores, 8, 8, n, true, false)
+	t.BurstWrapped(lay.Scores, 8, 8, n, false, false)
+	t.BurstWrapped(lay.Scores, 8, 8, n, true, false)
 }
 
 // chargeFinish charges the final pruning reduction: two streaming passes
@@ -159,7 +141,7 @@ func (lay *Layout) chargeMerge(t *machine.Thread, privs []*mem.Region, n int) {
 func (lay *Layout) chargeFinish(t *machine.Thread) {
 	nh := len(lay.Scenario.Hyps)
 	t.Compute(int64(nh) * 4)
-	burstWrapped(t, lay.Scores, 8, 8, 2*nh, false, false)
+	t.BurstWrapped(lay.Scores, 8, 8, 2*nh, false, false)
 }
 
 // Output is a solver's result: the full evidence-score vector (identical

@@ -130,24 +130,6 @@ func NewLayout(t *machine.Thread, s *Scenario, c Costs) *Layout {
 // different lines.
 const scatterStride = 64
 
-// burstWrapped emits n references as one or more bursts that stay inside the
-// region, wrapping to offset zero — the charge-preserving analogue of
-// route's wrapped bursts.
-func burstWrapped(t *machine.Thread, r *mem.Region, stride, elem uint64, n int, write, dep bool) {
-	if n <= 0 {
-		return
-	}
-	per := int((r.Size-elem)/stride) + 1
-	for n > 0 {
-		k := n
-		if k > per {
-			k = per
-		}
-		t.Burst(mem.Burst{Region: r, Stride: stride, Elem: elem, N: k, Write: write, Dep: dep})
-		n -= k
-	}
-}
-
 // chargeGate charges one batch of the gating scan: per-plot measurement
 // reads, pair tests streaming the track database, and stores of the gated
 // candidates found.
@@ -157,9 +139,9 @@ func (lay *Layout) chargeGate(t *machine.Thread, plots, pairs, gated int) {
 	}
 	c := lay.Costs
 	t.Compute(int64(pairs)*c.OpsPerGate + int64(gated)*4)
-	burstWrapped(t, lay.Plots, 16, 16, plots, false, false)
-	burstWrapped(t, lay.Tracks, 16, 16, pairs*c.StreamRefsPerGate, false, false)
-	burstWrapped(t, lay.Cands, 8, 8, gated, true, false)
+	t.BurstWrapped(lay.Plots, 16, 16, plots, false, false)
+	t.BurstWrapped(lay.Tracks, 16, 16, pairs*c.StreamRefsPerGate, false, false)
+	t.BurstWrapped(lay.Cands, 8, 8, gated, true, false)
 }
 
 // chargeBids charges one batch of bid computation: candidate-list streaming
@@ -170,8 +152,8 @@ func (lay *Layout) chargeBids(t *machine.Thread, cands int) {
 	}
 	c := lay.Costs
 	t.Compute(int64(cands) * c.OpsPerCand)
-	burstWrapped(t, lay.Cands, 8, 8, cands*c.StreamRefsPerCand, false, false)
-	burstWrapped(t, lay.Prices, scatterStride, 8, cands*c.DepRefsPerCand, false, true)
+	t.BurstWrapped(lay.Cands, 8, 8, cands*c.StreamRefsPerCand, false, false)
+	t.BurstWrapped(lay.Prices, scatterStride, 8, cands*c.DepRefsPerCand, false, true)
 }
 
 // chargeCommits charges one batch of bid commits: scattered price and
@@ -182,9 +164,9 @@ func (lay *Layout) chargeCommits(t *machine.Thread, n int) {
 	}
 	c := lay.Costs
 	t.Compute(int64(n) * c.OpsPerCommit)
-	burstWrapped(t, lay.Prices, scatterStride, 8, n*c.DepRefsPerCommit, false, true)
-	burstWrapped(t, lay.Prices, scatterStride, 8, n, true, false)
-	burstWrapped(t, lay.Owners, scatterStride, 8, n, true, false)
+	t.BurstWrapped(lay.Prices, scatterStride, 8, n*c.DepRefsPerCommit, false, true)
+	t.BurstWrapped(lay.Prices, scatterStride, 8, n, true, false)
+	t.BurstWrapped(lay.Owners, scatterStride, 8, n, true, false)
 }
 
 // chargeStage charges staging n bids into a private buffer (the coarse
@@ -194,7 +176,7 @@ func (lay *Layout) chargeStage(t *machine.Thread, buf *mem.Region, n int) {
 		return
 	}
 	t.Compute(int64(n) * 4)
-	burstWrapped(t, buf, 24, 24, n, true, false)
+	t.BurstWrapped(buf, 24, 24, n, true, false)
 }
 
 // Output is a solver's result: the minimum assignment cost of every frame

@@ -99,24 +99,6 @@ func NewLayout(t *machine.Thread, s *Scenario, c Costs) *Layout {
 // on different lines.
 const scatterStride = 64
 
-// burstWrapped emits n references as one or more bursts that stay inside the
-// region, wrapping to offset zero — the charge-preserving analogue of
-// terrain's clamped bursts.
-func burstWrapped(t *machine.Thread, r *mem.Region, stride, elem uint64, n int, write, dep bool) {
-	if n <= 0 {
-		return
-	}
-	per := int((r.Size-elem)/stride) + 1
-	for n > 0 {
-		k := n
-		if k > per {
-			k = per
-		}
-		t.Burst(mem.Burst{Region: r, Stride: stride, Elem: elem, N: k, Write: write, Dep: dep})
-		n -= k
-	}
-}
-
 // chargeScan charges one batch of frontier scanning: settled node claims and
 // edge relaxations (streamed risk reads plus dependent distance loads).
 func (lay *Layout) chargeScan(t *machine.Thread, settled, relaxed int) {
@@ -125,8 +107,8 @@ func (lay *Layout) chargeScan(t *machine.Thread, settled, relaxed int) {
 	}
 	c := lay.Costs
 	t.Compute(int64(settled)*c.OpsPerSettle + int64(relaxed)*c.OpsPerRelax)
-	burstWrapped(t, lay.Risk, scatterStride, 4, relaxed*c.StreamRefsPerRelax, false, false)
-	burstWrapped(t, lay.Dist, scatterStride, 4, relaxed*c.DepRefsPerRelax, false, true)
+	t.BurstWrapped(lay.Risk, scatterStride, 4, relaxed*c.StreamRefsPerRelax, false, false)
+	t.BurstWrapped(lay.Dist, scatterStride, 4, relaxed*c.DepRefsPerRelax, false, true)
 }
 
 // chargeStage charges staging n candidate relaxations into a private buffer
@@ -136,7 +118,7 @@ func (lay *Layout) chargeStage(t *machine.Thread, buf *mem.Region, n int) {
 		return
 	}
 	t.Compute(int64(n) * 4)
-	burstWrapped(t, buf, 8, 8, n, true, false)
+	t.BurstWrapped(buf, 8, 8, n, true, false)
 }
 
 // chargeMergeCheck charges re-reading the authoritative distances for n
@@ -146,7 +128,7 @@ func (lay *Layout) chargeMergeCheck(t *machine.Thread, n int) {
 		return
 	}
 	t.Compute(int64(n) * 6)
-	burstWrapped(t, lay.Dist, scatterStride, 4, n, false, true)
+	t.BurstWrapped(lay.Dist, scatterStride, 4, n, false, true)
 }
 
 // chargeApply charges n applied improvements: scattered distance stores plus
@@ -156,15 +138,15 @@ func (lay *Layout) chargeApply(t *machine.Thread, n int) {
 		return
 	}
 	t.Compute(int64(n) * lay.Costs.OpsPerPush)
-	burstWrapped(t, lay.Dist, scatterStride, 4, n, true, false)
-	burstWrapped(t, lay.Frontier, 8, 8, n, true, false)
+	t.BurstWrapped(lay.Dist, scatterStride, 4, n, true, false)
+	t.BurstWrapped(lay.Frontier, 8, 8, n, true, false)
 }
 
 // chargeInit charges the per-request distance-array reset.
 func (lay *Layout) chargeInit(t *machine.Thread) {
 	cells := lay.Scenario.Cells()
 	t.Compute(int64(cells) * 2)
-	burstWrapped(t, lay.Dist, 4, 4, cells, true, false)
+	t.BurstWrapped(lay.Dist, 4, 4, cells, true, false)
 }
 
 // Output is a solver's result: the per-request cheapest path costs (in query

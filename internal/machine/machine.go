@@ -215,6 +215,22 @@ func (t *Thread) Burst(b mem.Burst) {
 	t.E.model.Memory(t, b)
 }
 
+// BurstWrapped charges n references of elem bytes, stride bytes apart, as
+// one or more bursts from offset zero of r: each burst covers as many
+// references as fit inside the region and the rest wrap around to the start,
+// so traffic larger than its region keeps its full reference count.
+func (t *Thread) BurstWrapped(r *mem.Region, stride, elem uint64, n int, write, dep bool) {
+	if n <= 0 {
+		return
+	}
+	per := int((r.Size-elem)/stride) + 1
+	for n > 0 {
+		k := min(n, per)
+		t.Burst(mem.Burst{Region: r, Stride: stride, Elem: elem, N: k, Write: write, Dep: dep})
+		n -= k
+	}
+}
+
 // Read charges a single serially-dependent load of elem bytes.
 func (t *Thread) Read(r *mem.Region, off, elem uint64) {
 	t.Burst(mem.Burst{Region: r, Offset: off, Elem: elem, N: 1, Dep: true})

@@ -498,3 +498,55 @@ func TestSyncAllocDoesNotDisturbGantt(t *testing.T) {
 		t.Errorf("Gantt lost the thread row:\n%s", out)
 	}
 }
+
+// burstLog is unitModel recording every burst it is charged.
+type burstLog struct {
+	unitModel
+	bursts []mem.Burst
+}
+
+func (m *burstLog) Memory(t *Thread, b mem.Burst) {
+	m.bursts = append(m.bursts, b)
+	m.unitModel.Memory(t, b)
+}
+
+func TestBurstWrapped(t *testing.T) {
+	// A 100-byte region holds (100-8)/16+1 = 6 references of 8 bytes at a
+	// 16-byte stride, so n splits into ⌈n/6⌉ bursts from offset zero.
+	const size, stride, elem, per = 100, 16, 8, 6
+	for _, n := range []int{-3, 0, 1, per, per + 1, 3*per + 2} {
+		model := &burstLog{}
+		e := New(Config{Name: "unit", ClockHz: 1e6, Procs: 1}, model)
+		var r *mem.Region
+		res, err := e.Run("main", func(th *Thread) {
+			r = th.Alloc("r", size)
+			th.BurstWrapped(r, stride, elem, n, true, true)
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := max(n, 0)
+		if res.Stats.MemRefs != int64(want) {
+			t.Errorf("n=%d: MemRefs = %d, want %d", n, res.Stats.MemRefs, want)
+		}
+		if wantBursts := (want + per - 1) / per; len(model.bursts) != wantBursts {
+			t.Errorf("n=%d: %d bursts, want %d", n, len(model.bursts), wantBursts)
+		}
+		total := 0
+		for i, b := range model.bursts {
+			total += b.N
+			if b.Region != r || b.Offset != 0 || b.Stride != stride || b.Elem != elem || !b.Write || !b.Dep {
+				t.Errorf("n=%d: burst %d = %+v, want %d-byte refs %d apart from offset 0 of r, write and dep", n, i, b, elem, stride)
+			}
+			if b.Span() > r.Size {
+				t.Errorf("n=%d: burst %d spans %d bytes of a %d-byte region", n, i, b.Span(), r.Size)
+			}
+			if b.N < 1 || b.N > per || (i < len(model.bursts)-1 && b.N != per) {
+				t.Errorf("n=%d: burst %d has %d refs; every burst but the last should be a full pass of %d", n, i, b.N, per)
+			}
+		}
+		if total != want {
+			t.Errorf("n=%d: bursts carry %d refs, want %d", n, total, want)
+		}
+	}
+}
