@@ -29,11 +29,11 @@ func runAblationStreams(x *Exec) (*Result, error) {
 	var series report.Series
 	series.Label, series.Marker = "issue utilization", '*'
 	for _, chunks := range []int{1, 2, 4, 8, 16, 21, 32, 64, 96, 128} {
-		sec, rec, err := taChunked(x, "tera", 1, chunks)
+		rec, err := x.Run(taChunked(x, "tera", 1, chunks))
 		if err != nil {
 			return nil, err
 		}
-		tb.AddRow(chunks, sec, fmt.Sprintf("%.1f%%", rec.Stats.ProcUtil[0]*100))
+		tb.AddRow(chunks, rec.PaperSeconds, fmt.Sprintf("%.1f%%", rec.Stats.ProcUtil[0]*100))
 		series.X = append(series.X, float64(chunks))
 		series.Y = append(series.Y, rec.Stats.ProcUtil[0]*100)
 	}
@@ -141,7 +141,7 @@ func runAblationBlocking(x *Exec) (*Result, error) {
 		Notes:   []string{fmt.Sprintf("16 workers; scale %g normalized; the paper ran ten-by-ten", x.Cfg.Scale(TM))},
 	}
 	for _, blocks := range []int{1, 2, 4, 10, 20, 40} {
-		sec, _, err := tmCoarse(x, "exemplar", 16, 16, blocks)
+		sec, err := x.Seconds(tmCoarse(x, "exemplar", 16, 16, blocks))
 		if err != nil {
 			return nil, err
 		}
@@ -166,36 +166,36 @@ func runAblationFineGrainSMP(x *Exec) (*Result, error) {
 	}
 
 	// Threat Analysis.
-	coarseEx, _, err := taChunked(x, "exemplar", 16, 16)
+	coarseEx, err := x.Seconds(taChunked(x, "exemplar", 16, 16))
 	if err != nil {
 		return nil, err
 	}
-	fineEx, err := taFine(x, "exemplar", 16)
+	fineEx, err := x.Seconds(taFine(x, "exemplar", 16))
 	if err != nil {
 		return nil, err
 	}
 	tb.AddRow("Threat Analysis", "Exemplar (16 proc)", coarseEx, fineEx, fmt.Sprintf("%.2f", fineEx/coarseEx))
-	coarseT, _, err := taChunked(x, "tera", 1, 256)
+	coarseT, err := x.Seconds(taChunked(x, "tera", 1, 256))
 	if err != nil {
 		return nil, err
 	}
-	fineT, err := taFine(x, "tera", 1)
+	fineT, err := x.Seconds(taFine(x, "tera", 1))
 	if err != nil {
 		return nil, err
 	}
 	tb.AddRow("Threat Analysis", "Tera MTA (1 proc)", coarseT, fineT, fmt.Sprintf("%.2f", fineT/coarseT))
 
 	// Terrain Masking.
-	coarseTMEx, _, err := tmCoarse(x, "exemplar", 16, 16, tmBlocks)
+	coarseTMEx, err := x.Seconds(tmCoarse(x, "exemplar", 16, 16, tmBlocks))
 	if err != nil {
 		return nil, err
 	}
-	fineTMEx, err := tmFine(x, "exemplar", 16)
+	fineTMEx, err := x.Seconds(tmFine(x, "exemplar", 16))
 	if err != nil {
 		return nil, err
 	}
 	tb.AddRow("Terrain Masking", "Exemplar (16 proc)", coarseTMEx, fineTMEx, fmt.Sprintf("%.2f", fineTMEx/coarseTMEx))
-	fineTMT, err := tmFine(x, "tera", 1)
+	fineTMT, err := x.Seconds(tmFine(x, "tera", 1))
 	if err != nil {
 		return nil, err
 	}

@@ -169,9 +169,9 @@ func (e Experiment) RunContext(ctx context.Context, cfg Config) (*Result, error)
 	return res, nil
 }
 
-// All returns every experiment in paper order.
+// All returns every experiment in paper order, then the suite extensions.
 func All() []Experiment {
-	return []Experiment{
+	all := []Experiment{
 		{"table1", "Platforms used in the performance comparison", runTable1},
 		{"table2", "Sequential Threat Analysis without parallelization", runTable2},
 		{"table3", "Multithreaded Threat Analysis on quad-processor Pentium Pro (+ Figure 1)", runTable3},
@@ -191,18 +191,12 @@ func All() []Experiment {
 		{"ablation-blocking", "Terrain Masking lock-blocking factor on the Exemplar", runAblationBlocking},
 		{"ablation-finegrain-smp", "Fine-grained styles on conventional SMP vs the MTA", runAblationFineGrainSMP},
 		{"projection-scaling", "Projected MTA scaling to many processors (the paper's future work)", runProjectionScaling},
-		{"ro-sequential", "Sequential Route Optimization without parallelization (suite extension)", runRouteSeq},
-		{"ro-streams", "Route Optimization scaling with threads: MTA vs cached SMPs (+ figure)", runRouteStreams},
-		{"ro-variants", "Route Optimization parallelization styles across platforms", runRouteVariants},
-		{"pt-sequential", "Sequential Plot-Track Assignment without parallelization (suite extension)", runPlotSeq},
-		{"pt-streams", "Plot-Track Assignment scaling with threads: MTA vs cached SMPs (+ figure)", runPlotStreams},
-		{"pt-variants", "Plot-Track Assignment parallelization styles across platforms", runPlotVariants},
-		{"pt-pipelined", "Plot-Track Assignment exposed-latency ablation (dependent price loads vs perfect lookahead)", runPlotPipelined},
-		{"ht-sequential", "Sequential Hypothesis Testing without parallelization (suite extension)", runHypoSeq},
-		{"ht-streams", "Hypothesis Testing scaling with threads: MTA vs cached SMPs (+ figure)", runHypoStreams},
-		{"ht-variants", "Hypothesis Testing parallelization styles across platforms", runHypoVariants},
-		{"ht-grid", "Hypothesis Testing over the declared scenario grid (scale × gate × prune × network)", runHypoGrid},
 	}
+	all = append(all, routeExt.experiments()...)
+	all = append(all, plotExt.experiments()...)
+	all = append(all, Experiment{"pt-pipelined", "Plot-Track Assignment exposed-latency ablation (dependent price loads vs perfect lookahead)", runPlotPipelined})
+	all = append(all, hypoExt.experiments()...)
+	return append(all, Experiment{"ht-grid", "Hypothesis Testing over the declared scenario grid (scale × gate × prune × network)", runHypoGrid})
 }
 
 // Get returns the experiment with the given ID.
@@ -304,15 +298,15 @@ func runExperiment(id string, cfg Config) Outcome {
 // are what make concurrent RunMany sweeps compute shared cells once.
 var sharedRunner = run.NewRunner(0)
 
-// paperUnits returns a workload's registered paper-scale unit count. The
-// workload names here are compile-time constants, so a failed lookup is a
-// programming error and panics rather than corrupting a published table.
-func paperUnits(workload string) int {
-	w, err := suite.Lookup(workload)
+// mustWorkload returns a registered workload. The workload names here are
+// compile-time constants, so a failed lookup is a programming error and
+// panics rather than corrupting a published table.
+func mustWorkload(name string) *suite.Workload {
+	w, err := suite.Lookup(name)
 	if err != nil {
 		panic(err)
 	}
-	return w.PaperUnits
+	return w
 }
 
 // coarseOverheadFullScaleGB projects a workload's coarse-variant
@@ -320,14 +314,7 @@ func paperUnits(workload string) int {
 // the feasibility note the MTA tables quote. Panics if the workload has no
 // coarse variant with an OverheadFullScale hook (a wiring error, not data).
 func coarseOverheadFullScaleGB(workload string, workers int) float64 {
-	w, err := suite.Lookup(workload)
-	if err != nil {
-		panic(err)
-	}
-	v, err := w.Variant("coarse")
-	if err != nil {
-		panic(err)
-	}
+	v := mustWorkload(workload).MustVariant("coarse")
 	if v.OverheadFullScale == nil {
 		panic(fmt.Sprintf("experiments: %s coarse variant has no OverheadFullScale hook", workload))
 	}

@@ -24,19 +24,19 @@ var testX = &Exec{Cfg: testCfg, ctx: context.Background(), runner: sharedRunner}
 
 func TestSequentialTAOrdering(t *testing.T) {
 	// Paper Table 2: Alpha < Exemplar < Pentium Pro ≪ Tera.
-	alpha, err := taSeq(testX, "alpha", 1)
+	alpha, err := testX.Seconds(taSeq(testX, "alpha", 1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	ppro, err := taSeq(testX, "ppro", 4)
+	ppro, err := testX.Seconds(taSeq(testX, "ppro", 4))
 	if err != nil {
 		t.Fatal(err)
 	}
-	exem, err := taSeq(testX, "exemplar", 16)
+	exem, err := testX.Seconds(taSeq(testX, "exemplar", 16))
 	if err != nil {
 		t.Fatal(err)
 	}
-	tera, err := taSeq(testX, "tera", 1)
+	tera, err := testX.Seconds(taSeq(testX, "tera", 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,11 +50,11 @@ func TestSequentialTAOrdering(t *testing.T) {
 
 func TestTAExemplarScalesNearLinearly(t *testing.T) {
 	// Paper Table 4: 15.4-fold speedup on 16 processors.
-	seq, err := taSeq(testX, "exemplar", 16)
+	seq, err := testX.Seconds(taSeq(testX, "exemplar", 16))
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, _, err := taChunked(testX, "exemplar", 16, 16)
+	par, err := testX.Seconds(taChunked(testX, "exemplar", 16, 16))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +68,7 @@ func TestTATeraChunkSweepShape(t *testing.T) {
 	var prev float64
 	times := map[int]float64{}
 	for _, chunks := range []int{8, 16, 32, 64, 128, 256} {
-		sec, _, err := taChunked(testX, "tera", 2, chunks)
+		sec, err := testX.Seconds(taChunked(testX, "tera", 2, chunks))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -89,11 +89,11 @@ func TestTATeraChunkSweepShape(t *testing.T) {
 func TestTATeraMultithreadedVsSequential(t *testing.T) {
 	// Paper: "The multithreaded program runs dramatically faster (32 times
 	// faster on one processor) than the sequential program on the Tera MTA."
-	seq, err := taSeq(testX, "tera", 1)
+	seq, err := testX.Seconds(taSeq(testX, "tera", 1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, _, err := taChunked(testX, "tera", 1, 256)
+	par, err := testX.Seconds(taChunked(testX, "tera", 1, 256))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,11 +104,11 @@ func TestTATeraMultithreadedVsSequential(t *testing.T) {
 
 func TestTATeraTwoProcSpeedup(t *testing.T) {
 	// Paper Table 5: 1.8 on two processors.
-	one, _, err := taChunked(testX, "tera", 1, 256)
+	one, err := testX.Seconds(taChunked(testX, "tera", 1, 256))
 	if err != nil {
 		t.Fatal(err)
 	}
-	two, _, err := taChunked(testX, "tera", 2, 256)
+	two, err := testX.Seconds(taChunked(testX, "tera", 2, 256))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,11 +119,11 @@ func TestTATeraTwoProcSpeedup(t *testing.T) {
 
 func TestSequentialTMOrderingAndRatios(t *testing.T) {
 	// Paper Table 8: Alpha < PPro < Exemplar ≪ Tera; Tera ≈ 6x Alpha.
-	alpha, err := tmSeq(testX, "alpha", 1)
+	alpha, err := testX.Seconds(tmSeq(testX, "alpha", 1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	tera, err := tmSeq(testX, "tera", 1)
+	tera, err := testX.Seconds(tmSeq(testX, "tera", 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,11 +132,11 @@ func TestSequentialTMOrderingAndRatios(t *testing.T) {
 	}
 	// The key contrast with TA: the Tera penalty is much smaller for the
 	// memory-bound program.
-	taAlpha, err := taSeq(testX, "alpha", 1)
+	taAlpha, err := testX.Seconds(taSeq(testX, "alpha", 1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	taTera, err := taSeq(testX, "tera", 1)
+	taTera, err := testX.Seconds(taSeq(testX, "tera", 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,11 +147,11 @@ func TestSequentialTMOrderingAndRatios(t *testing.T) {
 
 func TestTMPentiumProSaturates(t *testing.T) {
 	// Paper Table 9: three-fold speedup on four processors (memory-bound).
-	seq, err := tmSeq(testX, "ppro", 4)
+	seq, err := testX.Seconds(tmSeq(testX, "ppro", 4))
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, _, err := tmCoarse(testX, "ppro", 4, 4, tmBlocks)
+	par, err := testX.Seconds(tmCoarse(testX, "ppro", 4, 4, tmBlocks))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,11 +162,11 @@ func TestTMPentiumProSaturates(t *testing.T) {
 
 func TestTMExemplarPlateaus(t *testing.T) {
 	// Paper Table 10: speedup plateaus around 6-7 well below 16.
-	seq, err := tmSeq(testX, "exemplar", 16)
+	seq, err := testX.Seconds(tmSeq(testX, "exemplar", 16))
 	if err != nil {
 		t.Fatal(err)
 	}
-	par16, _, err := tmCoarse(testX, "exemplar", 16, 16, tmBlocks)
+	par16, err := testX.Seconds(tmCoarse(testX, "exemplar", 16, 16, tmBlocks))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,15 +177,15 @@ func TestTMExemplarPlateaus(t *testing.T) {
 
 func TestTMTeraFine(t *testing.T) {
 	// Paper Table 11 + §6: ~20x over Tera sequential; 1.4 on two processors.
-	seq, err := tmSeq(testX, "tera", 1)
+	seq, err := testX.Seconds(tmSeq(testX, "tera", 1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	one, err := tmFine(testX, "tera", 1)
+	one, err := testX.Seconds(tmFine(testX, "tera", 1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	two, err := tmFine(testX, "tera", 2)
+	two, err := testX.Seconds(tmFine(testX, "tera", 2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,22 +200,22 @@ func TestTMTeraFine(t *testing.T) {
 func TestTeraBeatsAlphaWhenMultithreaded(t *testing.T) {
 	// Paper §7: one MTA processor multithreaded is 2-3.5x faster than the
 	// Alpha for these codes.
-	taAlpha, err := taSeq(testX, "alpha", 1)
+	taAlpha, err := testX.Seconds(taSeq(testX, "alpha", 1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	taTera, _, err := taChunked(testX, "tera", 1, 256)
+	taTera, err := testX.Seconds(taChunked(testX, "tera", 1, 256))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if r := taAlpha / taTera; r < 1.5 || r > 4 {
 		t.Errorf("TA: alpha/tera-1proc = %.2f, want ≈ 2.3", r)
 	}
-	tmAlpha, err := tmSeq(testX, "alpha", 1)
+	tmAlpha, err := testX.Seconds(tmSeq(testX, "alpha", 1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	tmTera, err := tmFine(testX, "tera", 1)
+	tmTera, err := testX.Seconds(tmFine(testX, "tera", 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,11 +227,11 @@ func TestTeraBeatsAlphaWhenMultithreaded(t *testing.T) {
 func TestTeraOneProcEquivalentToFourExemplar(t *testing.T) {
 	// Paper §5: "the performance of one 255 MHz Tera MTA processor is
 	// approximately equivalent to four 180 MHz Exemplar processors."
-	tera, _, err := taChunked(testX, "tera", 1, 256)
+	tera, err := testX.Seconds(taChunked(testX, "tera", 1, 256))
 	if err != nil {
 		t.Fatal(err)
 	}
-	exem4, _, err := taChunked(testX, "exemplar", 4, 4)
+	exem4, err := testX.Seconds(taChunked(testX, "exemplar", 4, 4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -355,11 +355,11 @@ func TestAutoparExperimentVerdicts(t *testing.T) {
 func TestFineGrainedStylePracticalOnlyOnMTA(t *testing.T) {
 	// Ablation: fine-grained TM should be much worse than coarse on the
 	// Exemplar, while on the MTA fine-grained is the practical approach.
-	coarse, _, err := tmCoarse(testX, "exemplar", 16, 16, tmBlocks)
+	coarse, err := testX.Seconds(tmCoarse(testX, "exemplar", 16, 16, tmBlocks))
 	if err != nil {
 		t.Fatal(err)
 	}
-	fine, err := tmFine(testX, "exemplar", 16)
+	fine, err := testX.Seconds(tmFine(testX, "exemplar", 16))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -373,11 +373,11 @@ func TestRouteSequentialOrdering(t *testing.T) {
 	// free under a cache that holds the distance array and expose the full
 	// memory latency on the cache-less MTA, so the sequential gap is at
 	// least as dramatic as Threat Analysis's.
-	alpha, err := roSeq(testX, "alpha", 1)
+	alpha, err := testX.Seconds(extSeq(testX, RO, "alpha", 1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	tera, err := roSeq(testX, "tera", 1)
+	tera, err := testX.Seconds(extSeq(testX, RO, "tera", 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -390,11 +390,11 @@ func TestRouteMTAScalesWhileSMPsSaturate(t *testing.T) {
 	// The acceptance shape for the third workload: the MTA's fine-grained
 	// variant keeps scaling with streams, while the cached SMPs saturate at
 	// their processor counts and memory systems, then degrade.
-	fine1, _, err := roFine(testX, "tera", 1, 1)
+	fine1, err := testX.Seconds(extFine(testX, RO, "tera", 1, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	fine128, _, err := roFine(testX, "tera", 1, 128)
+	fine128, err := testX.Seconds(extFine(testX, RO, "tera", 1, 128))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -403,15 +403,15 @@ func TestRouteMTAScalesWhileSMPsSaturate(t *testing.T) {
 		t.Errorf("MTA fine-grained speedup at 128 threads = %.1f, want ≥ 8", mtaSpeedup)
 	}
 
-	ex1, _, err := roCoarse(testX, "exemplar", 16, 1)
+	ex1, err := testX.Seconds(extCoarse(testX, RO, "exemplar", 16, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	ex16, _, err := roCoarse(testX, "exemplar", 16, 16)
+	ex16, err := testX.Seconds(extCoarse(testX, RO, "exemplar", 16, 16))
 	if err != nil {
 		t.Fatal(err)
 	}
-	ex128, _, err := roCoarse(testX, "exemplar", 16, 128)
+	ex128, err := testX.Seconds(extCoarse(testX, RO, "exemplar", 16, 128))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -425,11 +425,11 @@ func TestRouteMTAScalesWhileSMPsSaturate(t *testing.T) {
 		t.Errorf("Exemplar kept scaling past saturation: %.1f s at 128 workers vs %.1f s at 16", ex128, ex16)
 	}
 
-	pp1, _, err := roCoarse(testX, "ppro", 4, 1)
+	pp1, err := testX.Seconds(extCoarse(testX, RO, "ppro", 4, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	pp4, _, err := roCoarse(testX, "ppro", 4, 4)
+	pp4, err := testX.Seconds(extCoarse(testX, RO, "ppro", 4, 4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -441,11 +441,11 @@ func TestRouteMTAScalesWhileSMPsSaturate(t *testing.T) {
 func TestRouteFineGrainedImpracticalOnSMP(t *testing.T) {
 	// The Tera style (a crowd of threads per wavefront, per-word sync) must
 	// be far worse than the coarse crew on a conventional SMP.
-	coarse, _, err := roCoarse(testX, "exemplar", 16, 16)
+	coarse, err := testX.Seconds(extCoarse(testX, RO, "exemplar", 16, 16))
 	if err != nil {
 		t.Fatal(err)
 	}
-	fine, _, err := roFine(testX, "exemplar", 16, roFineCompare)
+	fine, err := testX.Seconds(extFine(testX, RO, "exemplar", 16, fineCompare))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -458,11 +458,11 @@ func TestPlotSequentialOrdering(t *testing.T) {
 	// The suite's synchronization-heavy workload: the bid loop's price
 	// chasing is dependent-load bound, so the cache-less MTA pays a
 	// dramatic sequential penalty, like the other workloads.
-	alpha, err := ptSeq(testX, "alpha", 1)
+	alpha, err := testX.Seconds(extSeq(testX, PT, "alpha", 1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	tera, err := ptSeq(testX, "tera", 1)
+	tera, err := testX.Seconds(extSeq(testX, PT, "tera", 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -475,11 +475,11 @@ func TestPlotMTAScalesWhileSMPsSaturate(t *testing.T) {
 	// The acceptance shape for the fourth workload: the MTA's asynchronous
 	// auction keeps scaling with streams, while the cached SMPs saturate at
 	// their processor counts and lock traffic, then degrade.
-	fine1, _, err := ptFine(testX, "tera", 1, 1)
+	fine1, err := testX.Seconds(extFine(testX, PT, "tera", 1, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	fine128, _, err := ptFine(testX, "tera", 1, 128)
+	fine128, err := testX.Seconds(extFine(testX, PT, "tera", 1, 128))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -488,15 +488,15 @@ func TestPlotMTAScalesWhileSMPsSaturate(t *testing.T) {
 		t.Errorf("MTA fine-grained speedup at 128 threads = %.1f, want ≥ 8", mtaSpeedup)
 	}
 
-	ex1, _, err := ptCoarse(testX, "exemplar", 16, 1)
+	ex1, err := testX.Seconds(extCoarse(testX, PT, "exemplar", 16, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	exBest, _, err := ptCoarse(testX, "exemplar", 16, 4)
+	exBest, err := testX.Seconds(extCoarse(testX, PT, "exemplar", 16, 4))
 	if err != nil {
 		t.Fatal(err)
 	}
-	ex128, _, err := ptCoarse(testX, "exemplar", 16, 128)
+	ex128, err := testX.Seconds(extCoarse(testX, PT, "exemplar", 16, 128))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -514,11 +514,11 @@ func TestPlotMTAScalesWhileSMPsSaturate(t *testing.T) {
 func TestPlotFineGrainedImpracticalOnSMP(t *testing.T) {
 	// The Tera style (a crowd of bid threads per frame, full/empty commits)
 	// must be far worse than the coarse crew on a conventional SMP.
-	coarse, _, err := ptCoarse(testX, "exemplar", 16, 16)
+	coarse, err := testX.Seconds(extCoarse(testX, PT, "exemplar", 16, 16))
 	if err != nil {
 		t.Fatal(err)
 	}
-	fine, _, err := ptFine(testX, "exemplar", 16, ptFineCompare)
+	fine, err := testX.Seconds(extFine(testX, PT, "exemplar", 16, fineCompare))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -555,11 +555,11 @@ func TestHypoSequentialOrdering(t *testing.T) {
 	// The suite's reduction-heavy workload: the scoring loop's evidence
 	// commits are scattered read-modify-writes, so the cache-less MTA pays a
 	// substantial sequential penalty, like the other workloads.
-	alpha, err := htSeq(testX, "alpha", 1)
+	alpha, err := testX.Seconds(extSeq(testX, HT, "alpha", 1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	tera, err := htSeq(testX, "tera", 1)
+	tera, err := testX.Seconds(extSeq(testX, HT, "tera", 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -575,11 +575,11 @@ func TestHypoMTAScalesWhileSMPsSaturate(t *testing.T) {
 	// workers partial-buffer traffic) swamps the small reduction almost
 	// immediately. Run at full scale so the SMP crew has its best case.
 	big := &Exec{Cfg: Config{Scales: map[string]float64{HT: 1}}, ctx: context.Background(), runner: sharedRunner}
-	fine1, _, err := htFine(big, "tera", 1, 1)
+	fine1, err := big.Seconds(extFine(big, HT, "tera", 1, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	fine128, _, err := htFine(big, "tera", 1, 128)
+	fine128, err := big.Seconds(extFine(big, HT, "tera", 1, 128))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -587,13 +587,13 @@ func TestHypoMTAScalesWhileSMPsSaturate(t *testing.T) {
 	if mtaSpeedup < 8 {
 		t.Errorf("MTA fine-grained speedup at 128 threads = %.1f, want ≥ 8", mtaSpeedup)
 	}
-	ex1, _, err := htCoarse(big, "exemplar", 16, 1)
+	ex1, err := big.Seconds(extCoarse(big, HT, "exemplar", 16, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
 	exBest := ex1
 	for _, w := range []int{2, 4, 8} {
-		s, _, err := htCoarse(big, "exemplar", 16, w)
+		s, err := big.Seconds(extCoarse(big, HT, "exemplar", 16, w))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -601,7 +601,7 @@ func TestHypoMTAScalesWhileSMPsSaturate(t *testing.T) {
 			exBest = s
 		}
 	}
-	ex16, _, err := htCoarse(big, "exemplar", 16, 16)
+	ex16, err := big.Seconds(extCoarse(big, HT, "exemplar", 16, 16))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -619,11 +619,11 @@ func TestHypoMTAScalesWhileSMPsSaturate(t *testing.T) {
 func TestHypoFineGrainedImpracticalOnSMP(t *testing.T) {
 	// The Tera style (a thread per observation, full/empty evidence commits)
 	// must be clearly worse than the coarse crew on a conventional SMP.
-	coarse, _, err := htCoarse(testX, "exemplar", 16, 16)
+	coarse, err := testX.Seconds(extCoarse(testX, HT, "exemplar", 16, 16))
 	if err != nil {
 		t.Fatal(err)
 	}
-	fine, _, err := htFine(testX, "exemplar", 16, htFineCompare)
+	fine, err := testX.Seconds(extFine(testX, HT, "exemplar", 16, fineCompare))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,22 +8,32 @@ import (
 	"repro/internal/run"
 )
 
-// taSeq runs sequential Threat Analysis on a platform and returns
-// paper-scale seconds.
-func taSeq(x *Exec, key string, procs int) (float64, error) {
-	return x.Seconds(x.Spec(TA, "sequential", key, procs, nil))
+// taSeq declares sequential Threat Analysis on a platform.
+func taSeq(x *Exec, key string, procs int) run.Spec {
+	return x.Spec(TA, "sequential", key, procs, nil)
 }
 
-// taChunked runs the chunked (Program 2) variant and returns paper-scale
-// seconds plus the run record (for utilization ablations).
-func taChunked(x *Exec, key string, procs, chunks int) (float64, run.Record, error) {
-	rec, err := x.Run(x.Spec(TA, "coarse", key, procs, suite.Params{"chunks": chunks}))
-	return rec.PaperSeconds, rec, err
+// taChunked declares the chunked (Program 2) variant.
+func taChunked(x *Exec, key string, procs, chunks int) run.Spec {
+	return x.Spec(TA, "coarse", key, procs, suite.Params{"chunks": chunks})
 }
 
-// taFine runs the fine-grained (sync-variable) variant.
-func taFine(x *Exec, key string, procs int) (float64, error) {
-	return x.Seconds(x.Spec(TA, "fine", key, procs, nil))
+// taFine declares the fine-grained (sync-variable) variant.
+func taFine(x *Exec, key string, procs int) run.Spec {
+	return x.Spec(TA, "fine", key, procs, nil)
+}
+
+// seqPlatforms are the rows of every sequential table (Tables 2 and 8 and
+// the suite extensions'): the four platforms, Alpha first, each at its
+// processor count.
+var seqPlatforms = []struct {
+	name, key string
+	procs     int
+}{
+	{"Alpha", "alpha", 1},
+	{"Pentium Pro", "ppro", 4},
+	{"Exemplar", "exemplar", 16},
+	{"Tera", "tera", 1},
 }
 
 // runTable2 reproduces Table 2: sequential Threat Analysis on all four
@@ -35,30 +45,31 @@ func runTable2(x *Exec) (*Result, error) {
 		Columns: []string{"Platform", "Paper (s)", "Model (s)", "Model/Paper"},
 		Notes:   []string{fmt.Sprintf("model at scale %g, normalized to the paper's 1000 threats/scenario", x.Cfg.Scale(TA))},
 	}
-	for _, row := range []struct {
-		name, key string
-		procs     int
-	}{
-		{"Alpha", "alpha", 1},
-		{"Pentium Pro", "ppro", 4},
-		{"Exemplar", "exemplar", 16},
-		{"Tera", "tera", 1},
-	} {
-		sec, err := taSeq(x, row.key, row.procs)
+	for _, p := range seqPlatforms {
+		sec, err := x.Seconds(taSeq(x, p.key, p.procs))
 		if err != nil {
 			return nil, err
 		}
-		paper := PaperTable2[row.name]
-		tb.AddRow(row.name, paper, sec, fmt.Sprintf("%.2f", sec/paper))
+		paper := PaperTable2[p.name]
+		tb.AddRow(p.name, paper, sec, fmt.Sprintf("%.2f", sec/paper))
 	}
 	return &Result{Tables: []*report.Table{tb}}, nil
 }
 
-// speedupTable builds a paper-style processors/time/speedup table plus the
-// corresponding speedup figure.
-func speedupTable(id, figID, title, figTitle string, paper map[int]float64,
-	model map[int]float64, maxProcs int, note string) *Result {
+// speedupTable runs a processor sweep — specs[0] is the sequential program,
+// specs[p] the parallel one on p processors — and builds the paper-style
+// processors/time/speedup table plus the corresponding speedup figure.
+func speedupTable(x *Exec, id, figID, title, figTitle string, paper map[int]float64,
+	specs []run.Spec, note string) (*Result, error) {
 
+	model := make([]float64, len(specs))
+	for p, spec := range specs {
+		sec, err := x.Seconds(spec)
+		if err != nil {
+			return nil, err
+		}
+		model[p] = sec
+	}
 	tb := &report.Table{
 		ID:      id,
 		Title:   title,
@@ -74,12 +85,8 @@ func speedupTable(id, figID, title, figTitle string, paper map[int]float64,
 	var paperS, modelS report.Series
 	paperS.Label, paperS.Marker = "paper", '+'
 	modelS.Label, modelS.Marker = "model", '*'
-	for p := 1; p <= maxProcs; p++ {
-		ps, ok1 := paper[p]
-		ms, ok2 := model[p]
-		if !ok1 || !ok2 {
-			continue
-		}
+	for p := 1; p < len(specs); p++ {
+		ps, ms := paper[p], model[p]
 		tb.AddRow(p, ps, report.FormatSpeedup(paperSeq/ps), ms, report.FormatSpeedup(modelSeq/ms))
 		paperS.X = append(paperS.X, float64(p))
 		paperS.Y = append(paperS.Y, paperSeq/ps)
@@ -87,74 +94,66 @@ func speedupTable(id, figID, title, figTitle string, paper map[int]float64,
 		modelS.Y = append(modelS.Y, modelSeq/ms)
 	}
 	fig.Series = []report.Series{modelS, paperS}
-	return &Result{Tables: []*report.Table{tb}, Figures: []*report.Figure{fig}}
+	return &Result{Tables: []*report.Table{tb}, Figures: []*report.Figure{fig}}, nil
 }
 
 // runTable3 reproduces Table 3 / Figure 1: chunked Threat Analysis on the
 // quad Pentium Pro, one chunk per processor.
 func runTable3(x *Exec) (*Result, error) {
-	model := map[int]float64{}
-	seq, err := taSeq(x, "ppro", 4)
-	if err != nil {
-		return nil, err
-	}
-	model[0] = seq
+	specs := []run.Spec{taSeq(x, "ppro", 4)}
 	for p := 1; p <= 4; p++ {
-		sec, _, err := taChunked(x, "ppro", p, p)
-		if err != nil {
-			return nil, err
-		}
-		model[p] = sec
+		specs = append(specs, taChunked(x, "ppro", p, p))
 	}
-	return speedupTable("table3", "figure1",
+	return speedupTable(x, "table3", "figure1",
 		"Execution time of multithreaded Threat Analysis on quad-processor Pentium Pro",
 		"Speedup of multithreaded Threat Analysis on quad-processor Pentium Pro",
-		PaperTable3, model, 4,
-		fmt.Sprintf("one chunk/thread per processor; scale %g normalized", x.Cfg.Scale(TA))), nil
+		PaperTable3, specs,
+		fmt.Sprintf("one chunk/thread per processor; scale %g normalized", x.Cfg.Scale(TA)))
 }
 
 // runTable4 reproduces Table 4 / Figure 2: chunked Threat Analysis on the
 // 16-processor Exemplar.
 func runTable4(x *Exec) (*Result, error) {
-	model := map[int]float64{}
-	seq, err := taSeq(x, "exemplar", 16)
-	if err != nil {
-		return nil, err
-	}
-	model[0] = seq
+	specs := []run.Spec{taSeq(x, "exemplar", 16)}
 	for p := 1; p <= 16; p++ {
-		sec, _, err := taChunked(x, "exemplar", p, p)
-		if err != nil {
-			return nil, err
-		}
-		model[p] = sec
+		specs = append(specs, taChunked(x, "exemplar", p, p))
 	}
-	return speedupTable("table4", "figure2",
+	return speedupTable(x, "table4", "figure2",
 		"Execution time of multithreaded Threat Analysis on 16-processor Exemplar",
 		"Speedup of multithreaded Threat Analysis on 16-processor Exemplar",
-		PaperTable4, model, 16,
-		fmt.Sprintf("one chunk/thread per processor; scale %g normalized", x.Cfg.Scale(TA))), nil
+		PaperTable4, specs,
+		fmt.Sprintf("one chunk/thread per processor; scale %g normalized", x.Cfg.Scale(TA)))
 }
 
 // runTable5 reproduces Table 5: chunked Threat Analysis on the Tera MTA with
 // 256 chunks, one and two processors.
 func runTable5(x *Exec) (*Result, error) {
+	return teraTable(x, "table5", TA, PaperTable5,
+		[]run.Spec{taChunked(x, "tera", 1, 256), taChunked(x, "tera", 2, 256)},
+		fmt.Sprintf("256 chunks; scale %g normalized", x.Cfg.Scale(TA)))
+}
+
+// teraTable runs a parallel program on one and two Tera MTA processors —
+// specs[0] and specs[1] — and builds the paper's two-row table with both
+// speedups (Tables 5 and 11).
+func teraTable(x *Exec, id, workload string, paper map[int]float64, specs []run.Spec, notes ...string) (*Result, error) {
 	tb := &report.Table{
-		ID:      "table5",
-		Title:   "Execution time of multithreaded Threat Analysis on dual-processor Tera MTA",
+		ID:      id,
+		Title:   fmt.Sprintf("Execution time of multithreaded %s on dual-processor Tera MTA", mustWorkload(workload).Title),
 		Columns: []string{"Number of Processors", "Paper (s)", "Paper speedup", "Model (s)", "Model speedup"},
-		Notes:   []string{fmt.Sprintf("256 chunks; scale %g normalized", x.Cfg.Scale(TA))},
+		Notes:   notes,
 	}
 	var oneProc float64
-	for _, p := range []int{1, 2} {
-		sec, _, err := taChunked(x, "tera", p, 256)
+	for i, spec := range specs {
+		sec, err := x.Seconds(spec)
 		if err != nil {
 			return nil, err
 		}
+		p := i + 1
 		if p == 1 {
 			oneProc = sec
 		}
-		tb.AddRow(p, PaperTable5[p], report.FormatSpeedup(PaperTable5[1]/PaperTable5[p]),
+		tb.AddRow(p, paper[p], report.FormatSpeedup(paper[1]/paper[p]),
 			sec, report.FormatSpeedup(oneProc/sec))
 	}
 	return &Result{Tables: []*report.Table{tb}}, nil
@@ -170,7 +169,7 @@ func runTable6(x *Exec) (*Result, error) {
 		Notes:   []string{fmt.Sprintf("two processors; scale %g normalized", x.Cfg.Scale(TA))},
 	}
 	for _, chunks := range suite.SortedKeys(PaperTable6) {
-		sec, _, err := taChunked(x, "tera", 2, chunks)
+		sec, err := x.Seconds(taChunked(x, "tera", 2, chunks))
 		if err != nil {
 			return nil, err
 		}
@@ -180,62 +179,63 @@ func runTable6(x *Exec) (*Result, error) {
 }
 
 // runTable7 reproduces Table 7: the Threat Analysis summary across
-// parallelization strategies and platforms. The "Automatic" rows equal the
-// sequential rows because the dependence analyzer (like the paper's
-// compilers) finds no practical opportunities — see the autopar experiment.
+// parallelization strategies and platforms.
 func runTable7(x *Exec) (*Result, error) {
+	return summary(x, "table7", TA, []string{autoNote, fmt.Sprintf("scale %g normalized", x.Cfg.Scale(TA))}, []summaryCell{
+		{"None", "Alpha", 187, taSeq(x, "alpha", 1)},
+		{"None", "Pentium Pro", 458, taSeq(x, "ppro", 4)},
+		{"None", "Exemplar", 343, taSeq(x, "exemplar", 16)},
+		{"None", "Tera", 2584, taSeq(x, "tera", 1)},
+		{"Automatic", "Exemplar", 343, taSeq(x, "exemplar", 16)},
+		{"Automatic", "Tera", 2584, taSeq(x, "tera", 1)},
+		{"Manual", "Pentium Pro (4 processors)", 117, taChunked(x, "ppro", 4, 4)},
+		{"Manual", "Exemplar (4 processors)", 87, taChunked(x, "exemplar", 4, 4)},
+		{"Manual", "Exemplar (8 processors)", 43, taChunked(x, "exemplar", 8, 8)},
+		{"Manual", "Exemplar (16 processors)", 22, taChunked(x, "exemplar", 16, 16)},
+		{"Manual", "Tera MTA (1 processor)", 82, taChunked(x, "tera", 1, 256)},
+		{"Manual", "Tera MTA (2 processors)", 46, taChunked(x, "tera", 2, 256)},
+	})
+}
+
+// autoNote is the summary tables' note on their "Automatic" rows: those rows
+// equal the sequential rows because the dependence analyzer (like the
+// paper's compilers) finds no practical opportunities.
+const autoNote = "automatic parallelization found no opportunities (see experiment `autopar`), so those rows equal sequential execution"
+
+// summaryCell is one row of a summary table: the parallelization group, the
+// platform, the paper's seconds (zero for the suite extensions, which the
+// paper did not evaluate) and the Spec whose seconds fill the model column.
+type summaryCell struct {
+	group, name string
+	paper       float64
+	spec        run.Spec
+}
+
+// summary runs each cell's Spec in order and builds a summary table across
+// parallelization styles and platforms: Tables 7 and 12, with a paper
+// column, and the suite extensions' variants tables, without one.
+func summary(x *Exec, id, workload string, notes []string, cells []summaryCell) (*Result, error) {
+	withPaper := cells[0].paper != 0
+	cols := []string{"Parallelization", "Platform", "Model (s)"}
+	if withPaper {
+		cols = []string{"Parallelization", "Platform", "Paper (s)", "Model (s)"}
+	}
 	tb := &report.Table{
-		ID:      "table7",
-		Title:   "Performance comparison for execution times of Threat Analysis",
-		Columns: []string{"Parallelization", "Platform", "Paper (s)", "Model (s)"},
-		Notes: []string{
-			"automatic parallelization found no opportunities (see experiment `autopar`), so those rows equal sequential execution",
-			fmt.Sprintf("scale %g normalized", x.Cfg.Scale(TA)),
-		},
-	}
-	type cell struct {
-		group, name string
-		paper       float64
-		run         func() (float64, error)
-	}
-	cells := []cell{
-		{"None", "Alpha", 187, func() (float64, error) { return taSeq(x, "alpha", 1) }},
-		{"None", "Pentium Pro", 458, func() (float64, error) { return taSeq(x, "ppro", 4) }},
-		{"None", "Exemplar", 343, func() (float64, error) { return taSeq(x, "exemplar", 16) }},
-		{"None", "Tera", 2584, func() (float64, error) { return taSeq(x, "tera", 1) }},
-		{"Automatic", "Exemplar", 343, func() (float64, error) { return taSeq(x, "exemplar", 16) }},
-		{"Automatic", "Tera", 2584, func() (float64, error) { return taSeq(x, "tera", 1) }},
-		{"Manual", "Pentium Pro (4 processors)", 117, func() (float64, error) {
-			s, _, err := taChunked(x, "ppro", 4, 4)
-			return s, err
-		}},
-		{"Manual", "Exemplar (4 processors)", 87, func() (float64, error) {
-			s, _, err := taChunked(x, "exemplar", 4, 4)
-			return s, err
-		}},
-		{"Manual", "Exemplar (8 processors)", 43, func() (float64, error) {
-			s, _, err := taChunked(x, "exemplar", 8, 8)
-			return s, err
-		}},
-		{"Manual", "Exemplar (16 processors)", 22, func() (float64, error) {
-			s, _, err := taChunked(x, "exemplar", 16, 16)
-			return s, err
-		}},
-		{"Manual", "Tera MTA (1 processor)", 82, func() (float64, error) {
-			s, _, err := taChunked(x, "tera", 1, 256)
-			return s, err
-		}},
-		{"Manual", "Tera MTA (2 processors)", 46, func() (float64, error) {
-			s, _, err := taChunked(x, "tera", 2, 256)
-			return s, err
-		}},
+		ID:      id,
+		Title:   "Performance comparison for execution times of " + mustWorkload(workload).Title,
+		Columns: cols,
+		Notes:   notes,
 	}
 	for _, c := range cells {
-		sec, err := c.run()
+		sec, err := x.Seconds(c.spec)
 		if err != nil {
 			return nil, err
 		}
-		tb.AddRow(c.group, c.name, c.paper, sec)
+		if withPaper {
+			tb.AddRow(c.group, c.name, c.paper, sec)
+		} else {
+			tb.AddRow(c.group, c.name, sec)
+		}
 	}
 	return &Result{Tables: []*report.Table{tb}}, nil
 }

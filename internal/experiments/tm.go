@@ -21,23 +21,20 @@ const (
 // coarse-grained variant's locks.
 const tmBlocks = 10
 
-// tmSeq runs sequential Terrain Masking (charge-replay mode) and returns
-// paper-scale seconds.
-func tmSeq(x *Exec, key string, procs int) (float64, error) {
-	return x.Seconds(x.Spec(TM, "sequential", key, procs, nil))
+// tmSeq declares sequential Terrain Masking (charge-replay mode) on a
+// platform.
+func tmSeq(x *Exec, key string, procs int) run.Spec {
+	return x.Spec(TM, "sequential", key, procs, nil)
 }
 
-// tmCoarse runs the coarse-grained lock-blocked variant.
-func tmCoarse(x *Exec, key string, procs, workers, blocks int) (float64, run.Record, error) {
-	rec, err := x.Run(x.Spec(TM, "coarse", key, procs,
-		suite.Params{"workers": workers, "blocks": blocks}))
-	return rec.PaperSeconds, rec, err
+// tmCoarse declares the coarse-grained lock-blocked variant.
+func tmCoarse(x *Exec, key string, procs, workers, blocks int) run.Spec {
+	return x.Spec(TM, "coarse", key, procs, suite.Params{"workers": workers, "blocks": blocks})
 }
 
-// tmFine runs the fine-grained inner-loop variant.
-func tmFine(x *Exec, key string, procs int) (float64, error) {
-	return x.Seconds(x.Spec(TM, "fine", key, procs,
-		suite.Params{"sectors": tmSectors, "merge": tmMergeChunks}))
+// tmFine declares the fine-grained inner-loop variant.
+func tmFine(x *Exec, key string, procs int) run.Spec {
+	return x.Spec(TM, "fine", key, procs, suite.Params{"sectors": tmSectors, "merge": tmMergeChunks})
 }
 
 // runTable8 reproduces Table 8: sequential Terrain Masking on all four
@@ -49,21 +46,13 @@ func runTable8(x *Exec) (*Result, error) {
 		Columns: []string{"Platform", "Paper (s)", "Model (s)", "Model/Paper"},
 		Notes:   []string{fmt.Sprintf("model at scale %g, normalized to the paper's 60 threats/scenario", x.Cfg.Scale(TM))},
 	}
-	for _, row := range []struct {
-		name, key string
-		procs     int
-	}{
-		{"Alpha", "alpha", 1},
-		{"Pentium Pro", "ppro", 4},
-		{"Exemplar", "exemplar", 16},
-		{"Tera", "tera", 1},
-	} {
-		sec, err := tmSeq(x, row.key, row.procs)
+	for _, p := range seqPlatforms {
+		sec, err := x.Seconds(tmSeq(x, p.key, p.procs))
 		if err != nil {
 			return nil, err
 		}
-		paper := PaperTable8[row.name]
-		tb.AddRow(row.name, paper, sec, fmt.Sprintf("%.2f", sec/paper))
+		paper := PaperTable8[p.name]
+		tb.AddRow(p.name, paper, sec, fmt.Sprintf("%.2f", sec/paper))
 	}
 	return &Result{Tables: []*report.Table{tb}}, nil
 }
@@ -71,47 +60,29 @@ func runTable8(x *Exec) (*Result, error) {
 // runTable9 reproduces Table 9 / Figure 3: coarse-grained Terrain Masking on
 // the quad Pentium Pro, one worker per processor, ten-by-ten blocking.
 func runTable9(x *Exec) (*Result, error) {
-	model := map[int]float64{}
-	seq, err := tmSeq(x, "ppro", 4)
-	if err != nil {
-		return nil, err
-	}
-	model[0] = seq
+	specs := []run.Spec{tmSeq(x, "ppro", 4)}
 	for p := 1; p <= 4; p++ {
-		sec, _, err := tmCoarse(x, "ppro", p, p, tmBlocks)
-		if err != nil {
-			return nil, err
-		}
-		model[p] = sec
+		specs = append(specs, tmCoarse(x, "ppro", p, p, tmBlocks))
 	}
-	return speedupTable("table9", "figure3",
+	return speedupTable(x, "table9", "figure3",
 		"Execution time of multithreaded Terrain Masking on quad-processor Pentium Pro",
 		"Speedup of coarse-grained multithreaded Terrain Masking on quad-processor Pentium Pro",
-		PaperTable9, model, 4,
-		fmt.Sprintf("one thread per processor, ten-by-ten blocking; scale %g normalized", x.Cfg.Scale(TM))), nil
+		PaperTable9, specs,
+		fmt.Sprintf("one thread per processor, ten-by-ten blocking; scale %g normalized", x.Cfg.Scale(TM)))
 }
 
 // runTable10 reproduces Table 10 / Figure 4: coarse-grained Terrain Masking
 // on the 16-processor Exemplar.
 func runTable10(x *Exec) (*Result, error) {
-	model := map[int]float64{}
-	seq, err := tmSeq(x, "exemplar", 16)
-	if err != nil {
-		return nil, err
-	}
-	model[0] = seq
+	specs := []run.Spec{tmSeq(x, "exemplar", 16)}
 	for p := 1; p <= 16; p++ {
-		sec, _, err := tmCoarse(x, "exemplar", p, p, tmBlocks)
-		if err != nil {
-			return nil, err
-		}
-		model[p] = sec
+		specs = append(specs, tmCoarse(x, "exemplar", p, p, tmBlocks))
 	}
-	return speedupTable("table10", "figure4",
+	return speedupTable(x, "table10", "figure4",
 		"Execution time of multithreaded Terrain Masking on 16-processor Exemplar",
 		"Speedup of multithreaded Terrain Masking on 16-processor Exemplar",
-		PaperTable10, model, 16,
-		fmt.Sprintf("one thread per processor, ten-by-ten blocking; scale %g normalized", x.Cfg.Scale(TM))), nil
+		PaperTable10, specs,
+		fmt.Sprintf("one thread per processor, ten-by-ten blocking; scale %g normalized", x.Cfg.Scale(TM)))
 }
 
 // runTable11 reproduces Table 11: fine-grained Terrain Masking on the Tera
@@ -123,80 +94,28 @@ func runTable11(x *Exec) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	tb := &report.Table{
-		ID:      "table11",
-		Title:   "Execution time of multithreaded Terrain Masking on dual-processor Tera MTA",
-		Columns: []string{"Number of Processors", "Paper (s)", "Paper speedup", "Model (s)", "Model speedup"},
-		Notes: []string{
-			fmt.Sprintf("fine-grained inner-loop parallelism (%d ray sectors, %d merge chunks); scale %g normalized",
-				tmSectors, tmMergeChunks, x.Cfg.Scale(TM)),
-			fmt.Sprintf("coarse-grained variant infeasible on the MTA: 256 workers would need %.1f GB of private temp arrays vs %d GB of memory",
-				coarseOverheadFullScaleGB(TM, 256), tera.MemoryBytes>>30),
-		},
-	}
-	var oneProc float64
-	for _, p := range []int{1, 2} {
-		sec, err := tmFine(x, "tera", p)
-		if err != nil {
-			return nil, err
-		}
-		if p == 1 {
-			oneProc = sec
-		}
-		tb.AddRow(p, PaperTable11[p], report.FormatSpeedup(PaperTable11[1]/PaperTable11[p]),
-			sec, report.FormatSpeedup(oneProc/sec))
-	}
-	return &Result{Tables: []*report.Table{tb}}, nil
+	return teraTable(x, "table11", TM, PaperTable11,
+		[]run.Spec{tmFine(x, "tera", 1), tmFine(x, "tera", 2)},
+		fmt.Sprintf("fine-grained inner-loop parallelism (%d ray sectors, %d merge chunks); scale %g normalized",
+			tmSectors, tmMergeChunks, x.Cfg.Scale(TM)),
+		fmt.Sprintf("coarse-grained variant infeasible on the MTA: 256 workers would need %.1f GB of private temp arrays vs %d GB of memory",
+			coarseOverheadFullScaleGB(TM, 256), tera.MemoryBytes>>30))
 }
 
 // runTable12 reproduces Table 12: the Terrain Masking summary.
 func runTable12(x *Exec) (*Result, error) {
-	tb := &report.Table{
-		ID:      "table12",
-		Title:   "Performance comparison for execution times of Terrain Masking",
-		Columns: []string{"Parallelization", "Platform", "Paper (s)", "Model (s)"},
-		Notes: []string{
-			"automatic parallelization found no opportunities (see experiment `autopar`), so those rows equal sequential execution",
-			fmt.Sprintf("scale %g normalized", x.Cfg.Scale(TM)),
-		},
-	}
-	type cell struct {
-		group, name string
-		paper       float64
-		run         func() (float64, error)
-	}
-	cells := []cell{
-		{"None", "Alpha", 158, func() (float64, error) { return tmSeq(x, "alpha", 1) }},
-		{"None", "Pentium Pro", 197, func() (float64, error) { return tmSeq(x, "ppro", 4) }},
-		{"None", "Exemplar", 228, func() (float64, error) { return tmSeq(x, "exemplar", 16) }},
-		{"None", "Tera", 978, func() (float64, error) { return tmSeq(x, "tera", 1) }},
-		{"Automatic", "Exemplar", 228, func() (float64, error) { return tmSeq(x, "exemplar", 16) }},
-		{"Automatic", "Tera", 978, func() (float64, error) { return tmSeq(x, "tera", 1) }},
-		{"Manual", "Pentium Pro (4 processors)", 65, func() (float64, error) {
-			s, _, err := tmCoarse(x, "ppro", 4, 4, tmBlocks)
-			return s, err
-		}},
-		{"Manual", "Exemplar (4 processors)", 59, func() (float64, error) {
-			s, _, err := tmCoarse(x, "exemplar", 4, 4, tmBlocks)
-			return s, err
-		}},
-		{"Manual", "Exemplar (8 processors)", 37, func() (float64, error) {
-			s, _, err := tmCoarse(x, "exemplar", 8, 8, tmBlocks)
-			return s, err
-		}},
-		{"Manual", "Exemplar (16 processors)", 37, func() (float64, error) {
-			s, _, err := tmCoarse(x, "exemplar", 16, 16, tmBlocks)
-			return s, err
-		}},
-		{"Manual", "Tera MTA (1 processor)", 48, func() (float64, error) { return tmFine(x, "tera", 1) }},
-		{"Manual", "Tera MTA (2 processors)", 34, func() (float64, error) { return tmFine(x, "tera", 2) }},
-	}
-	for _, c := range cells {
-		sec, err := c.run()
-		if err != nil {
-			return nil, err
-		}
-		tb.AddRow(c.group, c.name, c.paper, sec)
-	}
-	return &Result{Tables: []*report.Table{tb}}, nil
+	return summary(x, "table12", TM, []string{autoNote, fmt.Sprintf("scale %g normalized", x.Cfg.Scale(TM))}, []summaryCell{
+		{"None", "Alpha", 158, tmSeq(x, "alpha", 1)},
+		{"None", "Pentium Pro", 197, tmSeq(x, "ppro", 4)},
+		{"None", "Exemplar", 228, tmSeq(x, "exemplar", 16)},
+		{"None", "Tera", 978, tmSeq(x, "tera", 1)},
+		{"Automatic", "Exemplar", 228, tmSeq(x, "exemplar", 16)},
+		{"Automatic", "Tera", 978, tmSeq(x, "tera", 1)},
+		{"Manual", "Pentium Pro (4 processors)", 65, tmCoarse(x, "ppro", 4, 4, tmBlocks)},
+		{"Manual", "Exemplar (4 processors)", 59, tmCoarse(x, "exemplar", 4, 4, tmBlocks)},
+		{"Manual", "Exemplar (8 processors)", 37, tmCoarse(x, "exemplar", 8, 8, tmBlocks)},
+		{"Manual", "Exemplar (16 processors)", 37, tmCoarse(x, "exemplar", 16, 16, tmBlocks)},
+		{"Manual", "Tera MTA (1 processor)", 48, tmFine(x, "tera", 1)},
+		{"Manual", "Tera MTA (2 processors)", 34, tmFine(x, "tera", 2)},
+	})
 }
