@@ -170,22 +170,38 @@ func (e extension) variants(x *Exec) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	w := e.workload
-	return summary(x, mustWorkload(w).Key+"-variants", w, []string{
-		fmt.Sprintf("coarse style at %d workers would need %.1f GB of %s vs %d GB on the MTA",
-			mtaThreads, coarseOverheadFullScaleGB(w, mtaThreads), e.buffers, tera.MemoryBytes>>30),
-		e.variantsNote,
-		fmt.Sprintf("scale %g normalized", x.Cfg.Scale(w)),
-	}, []summaryCell{
-		{"None", "Alpha", 0, extSeq(x, w, "alpha", 1)},
-		{"None", "Tera", 0, extSeq(x, w, "tera", 1)},
-		{"Coarse", "Pentium Pro (4 processors)", 0, extCoarse(x, w, "ppro", 4, 4)},
-		{"Coarse", "Exemplar (16 processors)", 0, extCoarse(x, w, "exemplar", 16, 16)},
-		{"Coarse", fmt.Sprintf("Tera MTA (1 processor, %d %s)", mtaCrew, e.crew), 0, extCoarse(x, w, "tera", 1, mtaCrew)},
-		{"Fine-grained", fmt.Sprintf("Exemplar (16 processors, %d threads)", fineCompare), 0, extFine(x, w, "exemplar", 16, fineCompare)},
-		{"Fine-grained", fmt.Sprintf("Tera MTA (1 processor, %d threads)", mtaThreads), 0, extFine(x, w, "tera", 1, mtaThreads)},
-		{"Fine-grained", fmt.Sprintf("Tera MTA (2 processors, %d threads)", mtaThreads), 0, extFine(x, w, "tera", 2, mtaThreads)},
-	})
+	w := mustWorkload(e.workload)
+	tb := &report.Table{
+		ID:      w.Key + "-variants",
+		Title:   "Performance comparison for execution times of " + w.Title,
+		Columns: []string{"Parallelization", "Platform", "Model (s)"},
+		Notes: []string{
+			fmt.Sprintf("coarse style at %d workers would need %.1f GB of %s vs %d GB on the MTA",
+				mtaThreads, coarseOverheadFullScaleGB(e.workload, mtaThreads), e.buffers, tera.MemoryBytes>>30),
+			e.variantsNote,
+			fmt.Sprintf("scale %g normalized", x.Cfg.Scale(e.workload)),
+		},
+	}
+	for _, c := range []struct {
+		group, name string
+		spec        run.Spec
+	}{
+		{"None", "Alpha", extSeq(x, e.workload, "alpha", 1)},
+		{"None", "Tera", extSeq(x, e.workload, "tera", 1)},
+		{"Coarse", "Pentium Pro (4 processors)", extCoarse(x, e.workload, "ppro", 4, 4)},
+		{"Coarse", "Exemplar (16 processors)", extCoarse(x, e.workload, "exemplar", 16, 16)},
+		{"Coarse", fmt.Sprintf("Tera MTA (1 processor, %d %s)", mtaCrew, e.crew), extCoarse(x, e.workload, "tera", 1, mtaCrew)},
+		{"Fine-grained", fmt.Sprintf("Exemplar (16 processors, %d threads)", fineCompare), extFine(x, e.workload, "exemplar", 16, fineCompare)},
+		{"Fine-grained", fmt.Sprintf("Tera MTA (1 processor, %d threads)", mtaThreads), extFine(x, e.workload, "tera", 1, mtaThreads)},
+		{"Fine-grained", fmt.Sprintf("Tera MTA (2 processors, %d threads)", mtaThreads), extFine(x, e.workload, "tera", 2, mtaThreads)},
+	} {
+		sec, err := x.Seconds(c.spec)
+		if err != nil {
+			return nil, err
+		}
+		tb.AddRow(c.group, c.name, sec)
+	}
+	return &Result{Tables: []*report.Table{tb}}, nil
 }
 
 // runPlotPipelined isolates the role of exposed memory latency in the

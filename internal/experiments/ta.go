@@ -181,7 +181,7 @@ func runTable6(x *Exec) (*Result, error) {
 // runTable7 reproduces Table 7: the Threat Analysis summary across
 // parallelization strategies and platforms.
 func runTable7(x *Exec) (*Result, error) {
-	return summary(x, "table7", TA, []string{autoNote, fmt.Sprintf("scale %g normalized", x.Cfg.Scale(TA))}, []summaryCell{
+	return summary(x, "table7", TA, []summaryCell{
 		{"None", "Alpha", 187, taSeq(x, "alpha", 1)},
 		{"None", "Pentium Pro", 458, taSeq(x, "ppro", 4)},
 		{"None", "Exemplar", 343, taSeq(x, "exemplar", 16)},
@@ -197,45 +197,36 @@ func runTable7(x *Exec) (*Result, error) {
 	})
 }
 
-// autoNote is the summary tables' note on their "Automatic" rows: those rows
-// equal the sequential rows because the dependence analyzer (like the
-// paper's compilers) finds no practical opportunities.
-const autoNote = "automatic parallelization found no opportunities (see experiment `autopar`), so those rows equal sequential execution"
-
-// summaryCell is one row of a summary table: the parallelization group, the
-// platform, the paper's seconds (zero for the suite extensions, which the
-// paper did not evaluate) and the Spec whose seconds fill the model column.
+// summaryCell is one row of a paper summary table: the parallelization
+// group, the platform, the paper's seconds and the Spec whose seconds fill
+// the model column.
 type summaryCell struct {
 	group, name string
 	paper       float64
 	spec        run.Spec
 }
 
-// summary runs each cell's Spec in order and builds a summary table across
-// parallelization styles and platforms: Tables 7 and 12, with a paper
-// column, and the suite extensions' variants tables, without one.
-func summary(x *Exec, id, workload string, notes []string, cells []summaryCell) (*Result, error) {
-	withPaper := cells[0].paper != 0
-	cols := []string{"Parallelization", "Platform", "Model (s)"}
-	if withPaper {
-		cols = []string{"Parallelization", "Platform", "Paper (s)", "Model (s)"}
-	}
+// summary runs each cell's Spec in order and builds a paper summary table
+// across parallelization strategies and platforms (Tables 7 and 12). The
+// "Automatic" rows equal the sequential rows because the dependence analyzer
+// (like the paper's compilers) finds no practical opportunities — see the
+// autopar experiment.
+func summary(x *Exec, id, workload string, cells []summaryCell) (*Result, error) {
 	tb := &report.Table{
 		ID:      id,
 		Title:   "Performance comparison for execution times of " + mustWorkload(workload).Title,
-		Columns: cols,
-		Notes:   notes,
+		Columns: []string{"Parallelization", "Platform", "Paper (s)", "Model (s)"},
+		Notes: []string{
+			"automatic parallelization found no opportunities (see experiment `autopar`), so those rows equal sequential execution",
+			fmt.Sprintf("scale %g normalized", x.Cfg.Scale(workload)),
+		},
 	}
 	for _, c := range cells {
 		sec, err := x.Seconds(c.spec)
 		if err != nil {
 			return nil, err
 		}
-		if withPaper {
-			tb.AddRow(c.group, c.name, c.paper, sec)
-		} else {
-			tb.AddRow(c.group, c.name, sec)
-		}
+		tb.AddRow(c.group, c.name, c.paper, sec)
 	}
 	return &Result{Tables: []*report.Table{tb}}, nil
 }

@@ -104,7 +104,7 @@ func runTable11(x *Exec) (*Result, error) {
 
 // runTable12 reproduces Table 12: the Terrain Masking summary.
 func runTable12(x *Exec) (*Result, error) {
-	return summary(x, "table12", TM, []string{autoNote, fmt.Sprintf("scale %g normalized", x.Cfg.Scale(TM))}, []summaryCell{
+	return summary(x, "table12", TM, []summaryCell{
 		{"None", "Alpha", 158, tmSeq(x, "alpha", 1)},
 		{"None", "Pentium Pro", 197, tmSeq(x, "ppro", 4)},
 		{"None", "Exemplar", 228, tmSeq(x, "exemplar", 16)},
