@@ -16,25 +16,47 @@
 // sets that fit (Threat Analysis threads run "mostly within cache" and scale
 // linearly) and streaming working sets that do not (Terrain Masking is
 // memory-bound and saturates the shared bus).
+//
+// The LRU allocates nothing once warm. It is a fixed slab of one node per
+// granule of capacity, doubly linked by int32 indices from the most to the
+// least recently used, and a direct index from granule id to the node that
+// last held that granule. Addresses come from a bump-allocated mem.Space, so
+// granule ids are dense and the index is a slice: it costs 4 bytes per
+// granule up to the highest address the cache has touched, and grows by
+// doubling. An index entry counts only while its node still holds that
+// granule, so an eviction reuses the LRU node without clearing the entry.
 package cache
 
 import (
-	"container/list"
 	"fmt"
+	"math"
 
 	"repro/internal/mem"
 )
+
+// none ends the LRU list.
+const none = -1
+
+// empty is the granule id of a node that holds no granule yet. No real
+// granule can have it: the index would need 2^64 entries to reach it.
+const empty = math.MaxUint64
+
+// node is one slab slot: the granule it holds and its LRU neighbours.
+type node struct {
+	g          uint64 // granule id, or empty
+	prev, next int32  // toward the MRU head and the LRU tail; none at the ends
+}
 
 // Cache is a granule-granular LRU cache model. Not safe for concurrent use;
 // in the simulator each cache belongs to one processor and all access is
 // serialized by the simulation kernel.
 type Cache struct {
-	granule  uint64 // bytes per residency granule
-	line     uint64 // bytes per miss-transfer line
-	capacity int    // granules
+	granule uint64 // bytes per residency granule
+	line    uint64 // bytes per miss-transfer line
 
-	lru     *list.List               // front = most recent; values are granule ids
-	entries map[uint64]*list.Element // granule id -> lru node
+	nodes      []node  // one per granule of capacity
+	head, tail int32   // most and least recently used node
+	index      []int32 // granule id -> node that last held it
 
 	hits, misses int64
 }
@@ -45,21 +67,27 @@ func New(sizeBytes, lineBytes, granuleBytes uint64) *Cache {
 	if lineBytes == 0 || granuleBytes == 0 || granuleBytes%lineBytes != 0 {
 		panic(fmt.Sprintf("cache: bad geometry line=%d granule=%d", lineBytes, granuleBytes))
 	}
-	capGr := int(sizeBytes / granuleBytes)
-	if capGr < 1 {
-		panic(fmt.Sprintf("cache: size %d smaller than one granule %d", sizeBytes, granuleBytes))
+	capGr := sizeBytes / granuleBytes
+	if capGr < 1 || capGr > math.MaxInt32 {
+		panic(fmt.Sprintf("cache: size %d is not 1 to 2^31-1 granules of %d", sizeBytes, granuleBytes))
 	}
+	// Every node starts empty and linked, so the first capacity misses fill
+	// the slab from the tail with no separate fill path.
+	nodes := make([]node, capGr)
+	for i := range nodes {
+		nodes[i] = node{g: empty, prev: int32(i) - 1, next: int32(i) + 1}
+	}
+	nodes[capGr-1].next = none
 	return &Cache{
-		granule:  granuleBytes,
-		line:     lineBytes,
-		capacity: capGr,
-		lru:      list.New(),
-		entries:  make(map[uint64]*list.Element),
+		granule: granuleBytes,
+		line:    lineBytes,
+		nodes:   nodes,
+		tail:    int32(capGr - 1),
 	}
 }
 
 // SizeBytes returns the modeled capacity in bytes.
-func (c *Cache) SizeBytes() uint64 { return uint64(c.capacity) * c.granule }
+func (c *Cache) SizeBytes() uint64 { return uint64(len(c.nodes)) * c.granule }
 
 // LineBytes returns the miss-transfer unit.
 func (c *Cache) LineBytes() uint64 { return c.line }
@@ -70,26 +98,40 @@ func (c *Cache) Hits() int64 { return c.hits }
 // Misses returns cumulative miss count.
 func (c *Cache) Misses() int64 { return c.misses }
 
-// Flush empties the cache (used between benchmark scenarios).
-func (c *Cache) Flush() {
-	c.lru.Init()
-	c.entries = make(map[uint64]*list.Element)
+// touch marks granule g resident and most-recently-used, reporting whether
+// it was already resident. A miss takes the LRU node, evicting its granule.
+func (c *Cache) touch(g uint64) bool {
+	if g >= uint64(len(c.index)) {
+		c.grow(g)
+	}
+	n := c.index[g]
+	hit := c.nodes[n].g == g
+	if !hit {
+		n = c.tail
+		c.nodes[n].g = g
+		c.index[g] = n
+	}
+	if n != c.head {
+		nd := &c.nodes[n]
+		c.nodes[nd.prev].next = nd.next
+		if nd.next == none {
+			c.tail = nd.prev
+		} else {
+			c.nodes[nd.next].prev = nd.prev
+		}
+		nd.prev, nd.next = none, c.head
+		c.nodes[c.head].prev = n
+		c.head = n
+	}
+	return hit
 }
 
-// touch marks granule g resident and most-recently-used, reporting whether
-// it was already resident.
-func (c *Cache) touch(g uint64) bool {
-	if e, ok := c.entries[g]; ok {
-		c.lru.MoveToFront(e)
-		return true
-	}
-	if c.lru.Len() >= c.capacity {
-		back := c.lru.Back()
-		delete(c.entries, back.Value.(uint64))
-		c.lru.Remove(back)
-	}
-	c.entries[g] = c.lru.PushFront(g)
-	return false
+// grow extends the index to cover granule g. New entries point at node 0,
+// which is harmless: an entry counts only while its node holds that granule.
+func (c *Cache) grow(g uint64) {
+	idx := make([]int32, max(g+1, 2*uint64(len(c.index))))
+	copy(idx, c.index)
+	c.index = idx
 }
 
 // Access models a single reference, returning true on hit. A miss on a

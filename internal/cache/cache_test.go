@@ -1,7 +1,9 @@
 package cache
 
 import (
+	"container/list"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -99,16 +101,6 @@ func TestEmptyBurst(t *testing.T) {
 	hits, misses := c.AccessBurst(mem.Burst{Region: r, N: 0})
 	if hits != 0 || misses != 0 {
 		t.Errorf("empty burst = %d/%d", hits, misses)
-	}
-}
-
-func TestFlush(t *testing.T) {
-	c := New(8*1024, 32, 1024)
-	_, r := newTestSpace(1024)
-	c.Access(r.Addr(0))
-	c.Flush()
-	if c.Access(r.Addr(0)) {
-		t.Error("hit after flush")
 	}
 }
 
@@ -212,5 +204,218 @@ func TestPropertyRepeatFittingBurstHits(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
+	}
+}
+
+// refCache is the reference the slab LRU must match call for call: a
+// container/list + map LRU with the same burst arithmetic. It allocates on
+// every granule miss, so it serves only as the test oracle.
+type refCache struct {
+	granule, line uint64
+	capacity      int
+	lru           *list.List               // front = most recent; values are granule ids
+	entries       map[uint64]*list.Element // granule id -> lru node
+	hits, misses  int64
+}
+
+func newRefCache(sizeBytes, lineBytes, granuleBytes uint64) *refCache {
+	return &refCache{
+		granule:  granuleBytes,
+		line:     lineBytes,
+		capacity: int(sizeBytes / granuleBytes),
+		lru:      list.New(),
+		entries:  make(map[uint64]*list.Element),
+	}
+}
+
+func (c *refCache) touch(g uint64) bool {
+	if e, ok := c.entries[g]; ok {
+		c.lru.MoveToFront(e)
+		return true
+	}
+	if c.lru.Len() >= c.capacity {
+		back := c.lru.Back()
+		delete(c.entries, back.Value.(uint64))
+		c.lru.Remove(back)
+	}
+	c.entries[g] = c.lru.PushFront(g)
+	return false
+}
+
+func (c *refCache) Access(a mem.Addr) bool {
+	if c.touch(uint64(a) / c.granule) {
+		c.hits++
+		return true
+	}
+	c.misses++
+	return false
+}
+
+func (c *refCache) AccessBurst(b mem.Burst) (hits, misses int64) {
+	b.Validate()
+	if b.N == 0 {
+		return 0, 0
+	}
+	start := uint64(b.Start())
+	if b.Stride == 0 {
+		if c.touch(start / c.granule) {
+			hits = int64(b.N)
+		} else {
+			misses = 1
+			hits = int64(b.N) - 1
+		}
+		c.hits += hits
+		c.misses += misses
+		return hits, misses
+	}
+	last := start + uint64(b.N-1)*b.Stride
+	for g := start / c.granule; g <= last/c.granule; g++ {
+		lo, hi := g*c.granule, (g+1)*c.granule
+		var iLo uint64
+		if lo > start {
+			iLo = (lo - start + b.Stride - 1) / b.Stride
+		}
+		iHi := min((hi-1-start)/b.Stride, uint64(b.N)-1)
+		if iLo > iHi {
+			continue
+		}
+		refs := int64(iHi - iLo + 1)
+		if c.touch(g) {
+			hits += refs
+			continue
+		}
+		lines := refs
+		if b.Stride < c.line {
+			span := (iHi-iLo)*b.Stride + b.ElemSize()
+			lines = min(int64((span+c.line-1)/c.line), refs)
+		}
+		misses += lines
+		hits += refs - lines
+	}
+	c.hits += hits
+	c.misses += misses
+	return hits, misses
+}
+
+// resident lists the reference's granules from most to least recently used.
+func (c *refCache) resident() []uint64 {
+	var gs []uint64
+	for e := c.lru.Front(); e != nil; e = e.Next() {
+		gs = append(gs, e.Value.(uint64))
+	}
+	return gs
+}
+
+// resident lists the cache's granules from most to least recently used.
+func (c *Cache) resident() []uint64 {
+	var gs []uint64
+	for n := c.head; n != none && c.nodes[n].g != empty; n = c.nodes[n].next {
+		gs = append(gs, c.nodes[n].g)
+	}
+	return gs
+}
+
+// randomBurst draws a burst inside r whose stride is, by class, 0, below
+// the line size, from the line size up to the granule size, or above the
+// granule size, and which reaches less than the cache size or, where r is
+// large enough, more.
+func randomBurst(rng *rand.Rand, r *mem.Region, size, line, granule uint64) mem.Burst {
+	b := mem.Burst{Region: r, Elem: []uint64{0, 4, 8, 16}[rng.Intn(4)]}
+	switch rng.Intn(4) {
+	case 1:
+		b.Stride = 1 + rng.Uint64()%(line-1)
+	case 2:
+		b.Stride = line + rng.Uint64()%(granule-line+1)
+	case 3:
+		b.Stride = granule + 1 + rng.Uint64()%(2*granule)
+	}
+	room := r.Size - b.ElemSize() // the furthest the last element may start
+	reach := 1 + rng.Uint64()%min(size, room)
+	if room > size && rng.Intn(2) == 0 {
+		reach = size + rng.Uint64()%(room-size)
+	}
+	b.N = 1 + rng.Intn(1000)
+	if b.Stride > 0 {
+		b.N = int(reach/b.Stride) + 1
+	}
+	b.Offset = rng.Uint64() % (room - uint64(b.N-1)*b.Stride + 1)
+	return b
+}
+
+// The slab LRU with its direct index must match the reference LRU exactly:
+// the same (hits, misses) on every call and the same resident granules in
+// the same MRU-to-LRU order after it, on seeded mixes of single references
+// and bursts in the three cached platforms' geometries.
+func TestMatchesReferenceLRU(t *testing.T) {
+	for _, geo := range []struct {
+		name                string
+		size, line, granule uint64
+	}{
+		{"Alpha", 1 << 20, 64, 2048},
+		{"Pentium Pro", 256 << 10, 32, 1024},
+		{"Exemplar", 1 << 20, 32, 1024},
+	} {
+		t.Run(geo.name, func(t *testing.T) {
+			for seed := int64(1); seed <= 3; seed++ {
+				rng := rand.New(rand.NewSource(seed))
+				c := New(geo.size, geo.line, geo.granule)
+				ref := newRefCache(geo.size, geo.line, geo.granule)
+				s := mem.NewSpace()
+				// A small region that fits, so bursts reuse it, and two that
+				// stream through more than the cache.
+				regions := []*mem.Region{
+					s.Alloc("small", geo.size/3),
+					s.Alloc("large", 4*geo.size),
+					s.Alloc("huge", 8*geo.size),
+				}
+				for call := 0; call < 400; call++ {
+					r := regions[[]int{0, 0, 1, 2}[rng.Intn(4)]]
+					var got, want [2]int64
+					var what string
+					if rng.Intn(4) == 0 {
+						a := r.Addr(uint64(rng.Int63n(int64(r.Size))))
+						what = "Access"
+						got[0], want[0] = b2i(c.Access(a)), b2i(ref.Access(a))
+					} else {
+						b := randomBurst(rng, r, geo.size, geo.line, geo.granule)
+						what = "AccessBurst"
+						got[0], got[1] = c.AccessBurst(b)
+						want[0], want[1] = ref.AccessBurst(b)
+					}
+					if got != want {
+						t.Fatalf("seed %d call %d: %s = %v, reference %v", seed, call, what, got, want)
+					}
+					if g, w := c.resident(), ref.resident(); !slices.Equal(g, w) {
+						t.Fatalf("seed %d call %d: resident granules differ from the reference after %s:\n%v\n%v",
+							seed, call, what, g, w)
+					}
+				}
+				if c.Hits() != ref.hits || c.Misses() != ref.misses {
+					t.Errorf("seed %d: counters %d/%d, reference %d/%d", seed, c.Hits(), c.Misses(), ref.hits, ref.misses)
+				}
+			}
+		})
+	}
+}
+
+func b2i(b bool) int64 {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// Once the index covers the address space, neither a streaming burst (every
+// granule a miss that evicts) nor a single reference allocates.
+func TestSteadyStateAllocatesNothing(t *testing.T) {
+	c := New(256<<10, 32, 1024)
+	_, r := newTestSpace(8 << 20)
+	stream := mem.ReadBurst(r, 0, 8, 1<<20)
+	c.AccessBurst(stream)
+	if a := testing.AllocsPerRun(10, func() { c.AccessBurst(stream) }); a != 0 {
+		t.Errorf("streaming AccessBurst: %v allocations per call, want 0", a)
+	}
+	if a := testing.AllocsPerRun(100, func() { c.Access(r.Addr(4096)) }); a != 0 {
+		t.Errorf("Access: %v allocations per call, want 0", a)
 	}
 }

@@ -39,19 +39,27 @@ var seqPlatforms = []struct {
 // runTable2 reproduces Table 2: sequential Threat Analysis on all four
 // platforms.
 func runTable2(x *Exec) (*Result, error) {
+	return sequentialTable(x, "table2", TA, PaperTable2)
+}
+
+// sequentialTable builds a paper sequential table (Tables 2 and 8): the
+// workload without parallelization on all four platforms beside the paper's
+// seconds, its note naming the registered paper unit count.
+func sequentialTable(x *Exec, id, workload string, paper map[string]float64) (*Result, error) {
+	w := mustWorkload(workload)
 	tb := &report.Table{
-		ID:      "table2",
-		Title:   "Execution time of sequential Threat Analysis without parallelization",
+		ID:      id,
+		Title:   fmt.Sprintf("Execution time of sequential %s without parallelization", w.Title),
 		Columns: []string{"Platform", "Paper (s)", "Model (s)", "Model/Paper"},
-		Notes:   []string{fmt.Sprintf("model at scale %g, normalized to the paper's 1000 threats/scenario", x.Cfg.Scale(TA))},
+		Notes: []string{fmt.Sprintf("model at scale %g, normalized to the paper's %d %s",
+			x.Cfg.Scale(workload), w.PaperUnits, w.UnitName)},
 	}
 	for _, p := range seqPlatforms {
-		sec, err := x.Seconds(taSeq(x, p.key, p.procs))
+		sec, err := x.Seconds(x.Spec(workload, "sequential", p.key, p.procs, nil))
 		if err != nil {
 			return nil, err
 		}
-		paper := PaperTable2[p.name]
-		tb.AddRow(p.name, paper, sec, fmt.Sprintf("%.2f", sec/paper))
+		tb.AddRow(p.name, paper[p.name], sec, fmt.Sprintf("%.2f", sec/paper[p.name]))
 	}
 	return &Result{Tables: []*report.Table{tb}}, nil
 }

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/c3i/suite"
 	"repro/internal/platforms"
-	"repro/internal/report"
 	"repro/internal/run"
 )
 
@@ -40,21 +39,7 @@ func tmFine(x *Exec, key string, procs int) run.Spec {
 // runTable8 reproduces Table 8: sequential Terrain Masking on all four
 // platforms.
 func runTable8(x *Exec) (*Result, error) {
-	tb := &report.Table{
-		ID:      "table8",
-		Title:   "Execution time of sequential Terrain Masking without parallelization",
-		Columns: []string{"Platform", "Paper (s)", "Model (s)", "Model/Paper"},
-		Notes:   []string{fmt.Sprintf("model at scale %g, normalized to the paper's 60 threats/scenario", x.Cfg.Scale(TM))},
-	}
-	for _, p := range seqPlatforms {
-		sec, err := x.Seconds(tmSeq(x, p.key, p.procs))
-		if err != nil {
-			return nil, err
-		}
-		paper := PaperTable8[p.name]
-		tb.AddRow(p.name, paper, sec, fmt.Sprintf("%.2f", sec/paper))
-	}
-	return &Result{Tables: []*report.Table{tb}}, nil
+	return sequentialTable(x, "table8", TM, PaperTable8)
 }
 
 // runTable9 reproduces Table 9 / Figure 3: coarse-grained Terrain Masking on
