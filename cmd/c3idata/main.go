@@ -3,8 +3,9 @@
 // — the suite's "correctness test for the benchmark output data") and
 // re-validates solver outputs against them. Workloads, scale flags, file
 // names, reference solvers and the set of variants re-checked at -check all
-// come from the internal/c3i/suite registry, so a newly registered workload
-// joins the data tools by adding one serialization codec to internal/c3i/data.
+// come from the internal/c3i/suite registry, and internal/c3i/data encodes
+// each registered workload's scenario type as it is, so a newly registered
+// workload joins the data tools with no edits here or in data.
 //
 // Route Optimization and Plot-Track Assignment register all three program
 // variants for -check, since they must converge to identical outputs; the
@@ -28,7 +29,12 @@ import (
 	"path/filepath"
 
 	"repro/internal/c3i/data"
+	_ "repro/internal/c3i/hypothesis" // register the Hypothesis Testing workload
+	_ "repro/internal/c3i/plottrack"  // register the Plot-Track Assignment workload
+	_ "repro/internal/c3i/route"      // register the Route Optimization workload
 	"repro/internal/c3i/suite"
+	_ "repro/internal/c3i/terrain" // register the Terrain Masking workload
+	_ "repro/internal/c3i/threat"  // register the Threat Analysis workload
 	"repro/internal/run"
 )
 
@@ -95,14 +101,10 @@ func generate(dir string, scales map[string]*float64) error {
 	}
 	var goldens []data.Golden
 	for _, w := range suite.All() {
-		codec, err := data.CodecFor(w.Name)
-		if err != nil {
-			return err
-		}
 		ref := w.MustVariant(w.Reference)
 		for i, sc := range w.Generate(*scales[w.Name]) {
 			path := scenarioPath(dir, w, i+1)
-			if err := codec.Save(path, sc); err != nil {
+			if err := data.Save(path, w, sc); err != nil {
 				return err
 			}
 			out, err := solve(w, ref, sc)
@@ -131,16 +133,12 @@ func validate(dir string) error {
 	}
 	failures := 0
 	for _, w := range suite.All() {
-		codec, err := data.CodecFor(w.Name)
-		if err != nil {
-			return err
-		}
 		for i := 1; ; i++ {
 			path := scenarioPath(dir, w, i)
 			if _, err := os.Stat(path); err != nil {
 				break
 			}
-			sc, err := codec.Load(path)
+			sc, err := data.Load(path, w)
 			if err != nil {
 				return err
 			}

@@ -14,7 +14,6 @@ import (
 	"fmt"
 	"log"
 
-	"repro/internal/c3i/data"
 	"repro/internal/c3i/plottrack"
 	"repro/internal/machine"
 	"repro/internal/mta"
@@ -57,7 +56,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		sum := data.AssignmentChecksum(out.FrameCost, len(s.Frames[0]), len(s.Tracks))
+		sum := plottrack.Checksum(out.FrameCost, len(s.Frames[0]), len(s.Tracks))
 		if golden == 0 {
 			golden = sum
 		} else if sum != golden {

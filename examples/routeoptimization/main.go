@@ -12,7 +12,6 @@ import (
 	"fmt"
 	"log"
 
-	"repro/internal/c3i/data"
 	"repro/internal/c3i/route"
 	"repro/internal/machine"
 	"repro/internal/mta"
@@ -55,7 +54,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		sum := data.PathCostChecksum(out.PathCost)
+		sum := route.Checksum(out.PathCost)
 		if golden == 0 {
 			golden = sum
 		} else if sum != golden {

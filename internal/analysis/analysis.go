@@ -2,8 +2,8 @@
 // the spirit of golang.org/x/tools/go/analysis: an Analyzer inspects one
 // type-checked package at a time through a Pass and reports Diagnostics, and
 // may additionally contribute per-package facts to a module-wide Finish hook
-// for cross-package invariants (registry/codec pairing, metric label-set
-// consistency).
+// for cross-package invariants (registry Params-key declarations, metric
+// label-set consistency).
 //
 // The framework deliberately depends only on the standard library: packages
 // are loaded offline via `go list -export` and type-checked against the

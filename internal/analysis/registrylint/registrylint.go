@@ -1,10 +1,8 @@
 // Package registrylint cross-checks the workload registry against its
-// consumers, module-wide: every workload registered with suite.MustRegister
-// must have a data.Codec entry (or c3idata cannot round-trip its scenarios),
-// and every string-literal Params key used in spec construction or solver
-// lookups must be declared by some variant's Defaults, a grid axis, or the
-// suite's validate switch — an undeclared key is a silent typo that reads as
-// zero.
+// consumers, module-wide: every string-literal Params key used in spec
+// construction or solver lookups must be declared by some variant's
+// Defaults, a grid axis, or the suite's validate switch — an undeclared key
+// is a silent typo that reads as zero.
 package registrylint
 
 import (
@@ -18,17 +16,10 @@ import (
 )
 
 var Analyzer = &analysis.Analyzer{
-	Name: "registrylint",
-	Doc: "pair suite registrations with data.Codec entries and require " +
-		"every Params key to be a declared registry param",
+	Name:   "registrylint",
+	Doc:    "require every Params key to be a declared registry param",
 	Run:    run,
 	Finish: finish,
-}
-
-// A Reg is one statically-resolvable workload registration.
-type Reg struct {
-	Name string
-	Pos  token.Pos
 }
 
 // A Use is one string-literal Params key outside a Defaults declaration.
@@ -37,13 +28,12 @@ type Use struct {
 	Pos token.Pos
 }
 
-// Facts is the per-package result consumed by Finish.
+// Facts is the per-package result consumed by Finish. Registers records a
+// statically-resolvable workload registration in the package.
 type Facts struct {
 	ImportPath     string
-	Registered     []Reg
+	Registers      bool
 	DeclaredParams []string
-	CodecKinds     []string
-	HasCodecTable  bool
 	UsedParams     []Use
 }
 
@@ -129,7 +119,7 @@ func run(pass *analysis.Pass) (any, error) {
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.CallExpr:
-				collectRegistration(pass, n, facts)
+				facts.Registers = facts.Registers || isRegistration(pass, n)
 			case *ast.CompositeLit:
 				if defaults[n] {
 					return false // declaration site, keys handled above
@@ -146,48 +136,32 @@ func run(pass *analysis.Pass) (any, error) {
 			return true
 		})
 	}
-	if len(facts.Registered)+len(facts.DeclaredParams)+len(facts.CodecKinds)+len(facts.UsedParams) == 0 && !facts.HasCodecTable {
+	if !facts.Registers && len(facts.DeclaredParams)+len(facts.UsedParams) == 0 {
 		return nil, nil
 	}
 	return facts, nil
 }
 
-// collectRegistration records the workload name of a statically-resolvable
-// suite.MustRegister / suite.Register call.
-func collectRegistration(pass *analysis.Pass, call *ast.CallExpr, facts *Facts) {
+// isRegistration reports whether call is a suite.MustRegister /
+// suite.Register call on a suite.Workload literal (a registration through a
+// variable is resolved elsewhere or not at all).
+func isRegistration(pass *analysis.Pass, call *ast.CallExpr) bool {
 	fn := analysis.CalleeFunc(pass.TypesInfo, call)
-	if fn == nil || analysis.FuncPkgName(fn) != "suite" {
-		return
+	if fn == nil || analysis.FuncPkgName(fn) != "suite" || len(call.Args) != 1 {
+		return false
 	}
 	if fn.Name() != "MustRegister" && fn.Name() != "Register" {
-		return
-	}
-	if len(call.Args) != 1 {
-		return
+		return false
 	}
 	arg := ast.Unparen(call.Args[0])
 	if u, ok := arg.(*ast.UnaryExpr); ok {
 		arg = ast.Unparen(u.X)
 	}
 	lit, ok := arg.(*ast.CompositeLit)
-	if !ok || !isSuiteType(pass, lit, "Workload") {
-		return // registration through a variable: resolved elsewhere or not at all
-	}
-	for _, elt := range lit.Elts {
-		kv, ok := elt.(*ast.KeyValueExpr)
-		if !ok {
-			continue
-		}
-		if key, ok := kv.Key.(*ast.Ident); ok && key.Name == "Name" {
-			if name, isConst := analysis.ConstString(pass.TypesInfo, kv.Value); isConst {
-				facts.Registered = append(facts.Registered, Reg{Name: name, Pos: call.Pos()})
-			}
-		}
-	}
+	return ok && isSuiteType(pass, lit, "Workload")
 }
 
-// collectLit records grid-axis declarations, codec-table kinds, and Params
-// literal uses.
+// collectLit records grid-axis declarations and Params literal uses.
 func collectLit(pass *analysis.Pass, lit *ast.CompositeLit, facts *Facts) {
 	tv, ok := pass.TypesInfo.Types[lit]
 	if !ok {
@@ -209,20 +183,6 @@ func collectLit(pass *analysis.Pass, lit *ast.CompositeLit, facts *Facts) {
 	case isNamed(tv.Type, "suite", "Params"):
 		for _, key := range litStringKeys(pass, lit) {
 			facts.UsedParams = append(facts.UsedParams, Use{Key: key, Pos: lit.Pos()})
-		}
-	default:
-		// A map literal whose value type is data.Codec is the codec table.
-		if m, ok := tv.Type.Underlying().(*types.Map); ok && isNamed(m.Elem(), "data", "Codec") {
-			facts.HasCodecTable = true
-			for _, elt := range lit.Elts {
-				kv, ok := elt.(*ast.KeyValueExpr)
-				if !ok {
-					continue
-				}
-				if kind, isConst := analysis.ConstString(pass.TypesInfo, kv.Key); isConst {
-					facts.CodecKinds = append(facts.CodecKinds, kind)
-				}
-			}
 		}
 	}
 }
@@ -248,7 +208,7 @@ func isSuiteType(pass *analysis.Pass, lit *ast.CompositeLit, name string) bool {
 
 // isNamed reports whether t (or its pointer element) is a named type with
 // the given name declared in a package with the given name. Matching on
-// package name rather than import path lets fixtures stub suite/data.
+// package name rather than import path lets fixtures stub suite.
 func isNamed(t types.Type, pkgName, typeName string) bool {
 	if p, ok := t.(*types.Pointer); ok {
 		t = p.Elem()
@@ -269,41 +229,25 @@ func finish(fp *analysis.FinishPass) error {
 	sort.Strings(paths)
 
 	declared := map[string]bool{}
-	kinds := map[string]bool{}
-	hasCodecs := false
 	anyRegs := false
 	for _, path := range paths {
 		facts := fp.Results[path].(*Facts)
 		for _, k := range facts.DeclaredParams {
 			declared[k] = true
 		}
-		for _, k := range facts.CodecKinds {
-			kinds[k] = true
-		}
-		hasCodecs = hasCodecs || facts.HasCodecTable
-		anyRegs = anyRegs || len(facts.Registered) > 0
+		anyRegs = anyRegs || facts.Registers
 	}
-
+	// Only judge uses when the registry surface is part of the run;
+	// analyzing a lone consumer package would otherwise flag everything.
+	if !anyRegs {
+		return nil
+	}
 	for _, path := range paths {
-		facts := fp.Results[path].(*Facts)
-		if hasCodecs {
-			for _, reg := range facts.Registered {
-				if !kinds[reg.Name] {
-					fp.Reportf(reg.Pos,
-						"workload %q is registered with no matching data.Codec entry; c3idata cannot round-trip its scenarios",
-						reg.Name)
-				}
-			}
-		}
-		// Only judge uses when the registry surface is part of the run;
-		// analyzing a lone consumer package would otherwise flag everything.
-		if anyRegs {
-			for _, use := range facts.UsedParams {
-				if !declared[use.Key] {
-					fp.Reportf(use.Pos,
-						"params key %q is not declared by any variant default or grid axis; undeclared keys read as zero",
-						use.Key)
-				}
+		for _, use := range fp.Results[path].(*Facts).UsedParams {
+			if !declared[use.Key] {
+				fp.Reportf(use.Pos,
+					"params key %q is not declared by any variant default or grid axis; undeclared keys read as zero",
+					use.Key)
 			}
 		}
 	}

@@ -1,10 +1,8 @@
 // Package reg exercises every violation path of the registrylint analyzer:
-// a workload registered without a codec entry, and Params keys never
-// declared by a variant default or grid axis.
+// Params keys never declared by a variant default or grid axis.
 package reg
 
 import (
-	"repro/internal/c3i/data"
 	"repro/internal/c3i/suite"
 	"repro/internal/machine"
 )
@@ -14,26 +12,12 @@ func run(t *machine.Thread, sc suite.Scenario, p suite.Params) suite.Output {
 	return suite.Output{}
 }
 
-// codecs covers only one of the two registered workloads.
-var codecs = map[string]data.Codec{
-	"reg-covered": {},
-}
-
-// Kinds keeps the codec table referenced.
-func Kinds() int { return len(codecs) }
-
-// Register declares one orphaned and one covered workload.
+// Register declares a workload whose variant default declares "chunks".
 func Register() {
-	suite.MustRegister(&suite.Workload{ // want `workload "reg-orphan" is registered with no matching data\.Codec entry`
-		Name: "reg-orphan",
+	suite.MustRegister(&suite.Workload{
+		Name: "reg-wl",
 		Variants: []*suite.Variant{
 			{Name: "sequential", Style: suite.Sequential, Defaults: suite.Params{"chunks": 4}, Run: run},
-		},
-	})
-	suite.MustRegister(&suite.Workload{
-		Name: "reg-covered",
-		Variants: []*suite.Variant{
-			{Name: "sequential", Style: suite.Sequential, Run: run},
 		},
 	})
 	_ = suite.Params{"typo": 1} // want `params key "typo" is not declared`

@@ -1,11 +1,9 @@
 // Package regclean holds the sanctioned counterparts of the reg fixture's
-// violations: a codec entry per registration, and every Params key declared
-// through a variant default (inline, shared var, or Merged overlay) or a
-// grid axis.
+// violations: every Params key declared through a variant default (inline,
+// shared var, or Merged overlay) or a grid axis.
 package regclean
 
 import (
-	"repro/internal/c3i/data"
 	"repro/internal/c3i/suite"
 	"repro/internal/machine"
 )
@@ -20,14 +18,7 @@ func run(t *machine.Thread, sc suite.Scenario, p suite.Params) suite.Output {
 	return suite.Output{}
 }
 
-var codecs = map[string]data.Codec{
-	"regclean-wl": {},
-}
-
-// Kinds keeps the codec table referenced.
-func Kinds() int { return len(codecs) }
-
-// Register declares a covered workload whose params are all declared.
+// Register declares a workload whose params are all declared.
 func Register() {
 	suite.MustRegister(&suite.Workload{
 		Name: "regclean-wl",

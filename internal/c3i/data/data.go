@@ -5,8 +5,11 @@
 // stable FNV-1a checksums so a run can be validated without storing full
 // golden outputs — the Terrain Masking result alone is tens of megabytes.
 //
-// The command c3idata generates scenario files and golden checksums, and
-// re-validates solver outputs against them.
+// The format needs no per-workload code: Save gob-encodes the registered
+// workload's scenario value itself, and Load decodes into the empty
+// scenario the workload's suite.Workload.New returns, then runs the
+// scenario's Validate. The command c3idata generates scenario files and
+// golden checksums, and re-validates solver outputs against them.
 package data
 
 import (
@@ -15,43 +18,80 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"reflect"
 
-	"repro/internal/c3i/hypothesis"
-	"repro/internal/c3i/plottrack"
-	"repro/internal/c3i/route"
 	"repro/internal/c3i/suite"
-	"repro/internal/c3i/terrain"
-	"repro/internal/c3i/threat"
 )
 
-// magic identifies scenario files; the byte after it is a format version.
-// Version 2 added the Route Optimization scenario kind; version 3 added
-// Plot-Track Assignment; version 4 added Hypothesis Testing.
+// magic identifies scenario files; the header after it carries a format
+// version. Version 2 added the Route Optimization scenario kind; version 3
+// added Plot-Track Assignment; version 4 added Hypothesis Testing; version
+// 5 encodes each scenario value directly, which moved Terrain Masking's
+// W, H and Elev under its Grid.
 const (
 	magic   = "C3IPBS\x00"
-	version = 4
-
-	kindThreat  = "threat-analysis"
-	kindTerrain = "terrain-masking"
-	kindRoute   = "route-optimization"
-	kindPlot    = "plot-track-assignment"
-	kindHypo    = "hypothesis-testing"
+	version = 5
 )
 
-// header is the self-describing prefix of every scenario file.
+// header is the self-describing prefix of every scenario file. Kind is the
+// suite.Workload name, or "golden" for a golden-record file.
 type header struct {
 	Kind    string
 	Version int
 }
 
-func writeFile(path, kind string, payload interface{}) error {
+// Save writes one of w's scenarios to path.
+func Save(path string, w *suite.Workload, sc suite.Scenario) error {
+	if got, want := reflect.TypeOf(sc), reflect.TypeOf(w.New()); got != want {
+		return fmt.Errorf("data: %s scenario has type %v, want %v", w.Name, got, want)
+	}
+	return writeFile(path, w.Name, sc)
+}
+
+// Load reads one of w's scenarios from path and validates it.
+func Load(path string, w *suite.Workload) (suite.Scenario, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, fmt.Errorf("data: %w", err)
+	}
+	defer f.Close()
+	return load(bufio.NewReader(f), path, w)
+}
+
+// load decodes one of w's scenarios from r (named name in errors) and
+// validates it.
+func load(r io.Reader, name string, w *suite.Workload) (suite.Scenario, error) {
+	sc := w.New()
+	if err := decode(r, name, w.Name, sc); err != nil {
+		return nil, err
+	}
+	if err := sc.Validate(); err != nil {
+		return nil, fmt.Errorf("data: %s: %w", name, err)
+	}
+	return sc, nil
+}
+
+func writeFile(path, kind string, payload any) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return fmt.Errorf("data: %w", err)
 	}
 	defer f.Close()
-	w := bufio.NewWriter(f)
-	if _, err := w.WriteString(magic); err != nil {
+	bw := bufio.NewWriter(f)
+	if err := encode(bw, kind, payload); err != nil {
+		return err
+	}
+	if err := bw.Flush(); err != nil {
+		return fmt.Errorf("data: %w", err)
+	}
+	if err := f.Close(); err != nil {
+		return fmt.Errorf("data: %w", err)
+	}
+	return nil
+}
+
+func encode(w io.Writer, kind string, payload any) error {
+	if _, err := io.WriteString(w, magic); err != nil {
 		return fmt.Errorf("data: %w", err)
 	}
 	enc := gob.NewEncoder(w)
@@ -61,22 +101,22 @@ func writeFile(path, kind string, payload interface{}) error {
 	if err := enc.Encode(payload); err != nil {
 		return fmt.Errorf("data: encode payload: %w", err)
 	}
-	if err := w.Flush(); err != nil {
-		return fmt.Errorf("data: %w", err)
-	}
 	return nil
 }
 
-func readFile(path, wantKind string, payload interface{}) error {
+func readFile(path, wantKind string, payload any) error {
 	f, err := os.Open(path)
 	if err != nil {
 		return fmt.Errorf("data: %w", err)
 	}
 	defer f.Close()
-	r := bufio.NewReader(f)
+	return decode(bufio.NewReader(f), path, wantKind, payload)
+}
+
+func decode(r io.Reader, name, wantKind string, payload any) error {
 	got := make([]byte, len(magic))
 	if _, err := io.ReadFull(r, got); err != nil || string(got) != magic {
-		return fmt.Errorf("data: %s is not a C3IPBS scenario file", path)
+		return fmt.Errorf("data: %s is not a C3IPBS scenario file", name)
 	}
 	dec := gob.NewDecoder(r)
 	var h header
@@ -84,328 +124,15 @@ func readFile(path, wantKind string, payload interface{}) error {
 		return fmt.Errorf("data: decode header: %w", err)
 	}
 	if h.Kind != wantKind {
-		return fmt.Errorf("data: %s holds a %s scenario, want %s", path, h.Kind, wantKind)
+		return fmt.Errorf("data: %s holds a %s scenario, want %s", name, h.Kind, wantKind)
 	}
 	if h.Version != version {
-		return fmt.Errorf("data: %s has format version %d, want %d", path, h.Version, version)
+		return fmt.Errorf("data: %s has format version %d, want %d", name, h.Version, version)
 	}
 	if err := dec.Decode(payload); err != nil {
 		return fmt.Errorf("data: decode payload: %w", err)
 	}
 	return nil
-}
-
-// threatFile is the serialized form of a Threat Analysis scenario.
-type threatFile struct {
-	Name    string
-	DT      float64
-	Threats []threat.Threat
-	Weapons []threat.Weapon
-}
-
-// SaveThreatScenario writes a Threat Analysis scenario to path.
-func SaveThreatScenario(path string, s *threat.Scenario) error {
-	return writeFile(path, kindThreat, threatFile{
-		Name: s.Name, DT: s.DT, Threats: s.Threats, Weapons: s.Weapons,
-	})
-}
-
-// LoadThreatScenario reads a Threat Analysis scenario from path.
-func LoadThreatScenario(path string) (*threat.Scenario, error) {
-	var tf threatFile
-	if err := readFile(path, kindThreat, &tf); err != nil {
-		return nil, err
-	}
-	return &threat.Scenario{Name: tf.Name, DT: tf.DT, Threats: tf.Threats, Weapons: tf.Weapons}, nil
-}
-
-// terrainFile is the serialized form of a Terrain Masking scenario.
-type terrainFile struct {
-	Name    string
-	W, H    int
-	Elev    []float32
-	Threats []terrain.ThreatSite
-}
-
-// SaveTerrainScenario writes a Terrain Masking scenario to path.
-func SaveTerrainScenario(path string, s *terrain.Scenario) error {
-	return writeFile(path, kindTerrain, terrainFile{
-		Name: s.Name, W: s.Grid.W, H: s.Grid.H, Elev: s.Grid.Elev, Threats: s.Threats,
-	})
-}
-
-// LoadTerrainScenario reads a Terrain Masking scenario from path.
-func LoadTerrainScenario(path string) (*terrain.Scenario, error) {
-	var tf terrainFile
-	if err := readFile(path, kindTerrain, &tf); err != nil {
-		return nil, err
-	}
-	if len(tf.Elev) != tf.W*tf.H {
-		return nil, fmt.Errorf("data: %s: elevation length %d != %d×%d", path, len(tf.Elev), tf.W, tf.H)
-	}
-	return &terrain.Scenario{
-		Name:    tf.Name,
-		Grid:    &terrain.Grid{W: tf.W, H: tf.H, Elev: tf.Elev},
-		Threats: tf.Threats,
-	}, nil
-}
-
-// routeFile is the serialized form of a Route Optimization scenario.
-type routeFile struct {
-	Name    string
-	W, H    int
-	Risk    []int32
-	Queries []route.Query
-}
-
-// SaveRouteScenario writes a Route Optimization scenario to path.
-func SaveRouteScenario(path string, s *route.Scenario) error {
-	return writeFile(path, kindRoute, routeFile{
-		Name: s.Name, W: s.W, H: s.H, Risk: s.Risk, Queries: s.Queries,
-	})
-}
-
-// LoadRouteScenario reads a Route Optimization scenario from path.
-func LoadRouteScenario(path string) (*route.Scenario, error) {
-	var rf routeFile
-	if err := readFile(path, kindRoute, &rf); err != nil {
-		return nil, err
-	}
-	if len(rf.Risk) != rf.W*rf.H {
-		return nil, fmt.Errorf("data: %s: risk length %d != %d×%d", path, len(rf.Risk), rf.W, rf.H)
-	}
-	for i, r := range rf.Risk {
-		if r < 0 {
-			return nil, fmt.Errorf("data: %s: negative risk %d at cell %d", path, r, i)
-		}
-	}
-	for _, q := range rf.Queries {
-		if q.SX < 0 || q.SX >= rf.W || q.SY < 0 || q.SY >= rf.H ||
-			q.GX < 0 || q.GX >= rf.W || q.GY < 0 || q.GY >= rf.H {
-			return nil, fmt.Errorf("data: %s: query %d endpoints (%d,%d)→(%d,%d) outside %d×%d grid",
-				path, q.ID, q.SX, q.SY, q.GX, q.GY, rf.W, rf.H)
-		}
-	}
-	return &route.Scenario{Name: rf.Name, W: rf.W, H: rf.H, Risk: rf.Risk, Queries: rf.Queries}, nil
-}
-
-// plotFile is the serialized form of a Plot-Track Assignment scenario.
-type plotFile struct {
-	Name   string
-	Field  int32
-	Tracks []plottrack.Track
-	Frames [][]plottrack.Plot
-}
-
-// SavePlotScenario writes a Plot-Track Assignment scenario to path.
-func SavePlotScenario(path string, s *plottrack.Scenario) error {
-	return writeFile(path, kindPlot, plotFile{
-		Name: s.Name, Field: s.Field, Tracks: s.Tracks, Frames: s.Frames,
-	})
-}
-
-// LoadPlotScenario reads a Plot-Track Assignment scenario from path.
-func LoadPlotScenario(path string) (*plottrack.Scenario, error) {
-	var pf plotFile
-	if err := readFile(path, kindPlot, &pf); err != nil {
-		return nil, err
-	}
-	if pf.Field <= 0 {
-		return nil, fmt.Errorf("data: %s: field size %d, want positive", path, pf.Field)
-	}
-	for _, tr := range pf.Tracks {
-		if tr.X < 0 || tr.X >= pf.Field || tr.Y < 0 || tr.Y >= pf.Field {
-			return nil, fmt.Errorf("data: %s: track %d at (%d,%d) outside %d×%d field",
-				path, tr.ID, tr.X, tr.Y, pf.Field, pf.Field)
-		}
-		if tr.Quality < 0 || tr.Quality > plottrack.MaxQuality {
-			return nil, fmt.Errorf("data: %s: track %d quality %d outside 0..%d",
-				path, tr.ID, tr.Quality, plottrack.MaxQuality)
-		}
-	}
-	for f, frame := range pf.Frames {
-		if len(frame) != len(pf.Frames[0]) {
-			return nil, fmt.Errorf("data: %s: frame %d has %d plots, frame 0 has %d — frames must be one size",
-				path, f, len(frame), len(pf.Frames[0]))
-		}
-		for _, p := range frame {
-			if p.X < 0 || p.X >= pf.Field || p.Y < 0 || p.Y >= pf.Field {
-				return nil, fmt.Errorf("data: %s: frame %d plot %d at (%d,%d) outside %d×%d field",
-					path, f, p.ID, p.X, p.Y, pf.Field, pf.Field)
-			}
-		}
-	}
-	return &plottrack.Scenario{Name: pf.Name, Field: pf.Field, Tracks: pf.Tracks, Frames: pf.Frames}, nil
-}
-
-// hypoFile is the serialized form of a Hypothesis Testing scenario.
-type hypoFile struct {
-	Name  string
-	Field int32
-	Steps int32
-	Hyps  []hypothesis.Hypothesis
-	Obs   []hypothesis.Observation
-}
-
-// SaveHypothesisScenario writes a Hypothesis Testing scenario to path.
-func SaveHypothesisScenario(path string, s *hypothesis.Scenario) error {
-	return writeFile(path, kindHypo, hypoFile{
-		Name: s.Name, Field: s.Field, Steps: s.Steps, Hyps: s.Hyps, Obs: s.Obs,
-	})
-}
-
-// LoadHypothesisScenario reads a Hypothesis Testing scenario from path.
-func LoadHypothesisScenario(path string) (*hypothesis.Scenario, error) {
-	var hf hypoFile
-	if err := readFile(path, kindHypo, &hf); err != nil {
-		return nil, err
-	}
-	if hf.Field <= 0 || hf.Steps <= 0 {
-		return nil, fmt.Errorf("data: %s: field %d / steps %d, want positive", path, hf.Field, hf.Steps)
-	}
-	for _, h := range hf.Hyps {
-		if h.X < 0 || h.X >= hf.Field || h.Y < 0 || h.Y >= hf.Field {
-			return nil, fmt.Errorf("data: %s: hypothesis %d at (%d,%d) outside %d×%d field",
-				path, h.ID, h.X, h.Y, hf.Field, hf.Field)
-		}
-		if h.VX < -hypothesis.MaxSpeed || h.VX > hypothesis.MaxSpeed ||
-			h.VY < -hypothesis.MaxSpeed || h.VY > hypothesis.MaxSpeed {
-			return nil, fmt.Errorf("data: %s: hypothesis %d velocity (%d,%d) outside ±%d",
-				path, h.ID, h.VX, h.VY, hypothesis.MaxSpeed)
-		}
-		if h.Prior < 0 || h.Prior > hypothesis.MaxPrior {
-			return nil, fmt.Errorf("data: %s: hypothesis %d prior %d outside 0..%d",
-				path, h.ID, h.Prior, hypothesis.MaxPrior)
-		}
-	}
-	for i, o := range hf.Obs {
-		if o.T < 0 || o.T >= hf.Steps {
-			return nil, fmt.Errorf("data: %s: observation %d at step %d outside 0..%d",
-				path, o.ID, o.T, hf.Steps-1)
-		}
-		if o.X < 0 || o.X >= hf.Field || o.Y < 0 || o.Y >= hf.Field {
-			return nil, fmt.Errorf("data: %s: observation %d at (%d,%d) outside %d×%d field",
-				path, o.ID, o.X, o.Y, hf.Field, hf.Field)
-		}
-		if i > 0 && o.T < hf.Obs[i-1].T {
-			return nil, fmt.Errorf("data: %s: observation stream not time-ordered at index %d", path, i)
-		}
-	}
-	return &hypothesis.Scenario{
-		Name: hf.Name, Field: hf.Field, Steps: hf.Steps, Hyps: hf.Hyps, Obs: hf.Obs,
-	}, nil
-}
-
-// AssignmentChecksum reduces a Plot-Track Assignment result to a stable
-// checksum over the problem shape and the per-frame minimum assignment
-// costs — the quantities every solver variant provably shares regardless of
-// which equal-cost optimum its bid order lands on.
-func AssignmentChecksum(frameCosts []int64, plots, tracks int) uint64 {
-	return plottrack.Checksum(frameCosts, plots, tracks)
-}
-
-// PathCostChecksum reduces a Route Optimization result to a stable checksum
-// over the per-request path costs in query order. Every solver variant
-// converges to the same shortest distances, so all three produce the same
-// value regardless of their internal work order.
-func PathCostChecksum(costs []int64) uint64 { return route.Checksum(costs) }
-
-// IntervalsChecksum reduces a Threat Analysis result to a stable checksum:
-// the intervals are canonically sorted first, so all solver variants
-// (including the nondeterministically-ordered fine-grained one) produce the
-// same value.
-func IntervalsChecksum(ivs []threat.Interval) uint64 { return threat.Checksum(ivs) }
-
-// MaskingChecksum reduces a Terrain Masking result to a stable checksum over
-// the float32 bit patterns (+Inf cells included, so coverage changes are
-// detected).
-func MaskingChecksum(m *terrain.Masking) uint64 { return m.Checksum() }
-
-// SurvivorChecksum reduces a Hypothesis Testing result to a stable checksum
-// over the problem shape, the best score and the surviving hypotheses with
-// their evidence totals. Evidence addition commutes, so all solver variants
-// (including the nondeterministically-ordered fine-grained one) produce the
-// same value.
-func SurvivorChecksum(out *hypothesis.Output, hyps, obs int) uint64 {
-	return hypothesis.Checksum(out, hyps, obs)
-}
-
-// Codec bundles the serialization hooks for one registered workload kind,
-// so registry-driven consumers (cmd/c3idata) can save and load scenarios
-// without per-kind branches. Kind equals the suite.Workload name.
-type Codec struct {
-	Kind string
-	Save func(path string, sc suite.Scenario) error
-	Load func(path string) (suite.Scenario, error)
-}
-
-// codecs maps workload names to their serialization hooks. A workload added
-// to the suite registry needs exactly one entry here to join the data tools.
-var codecs = map[string]Codec{
-	kindThreat: {
-		Kind: kindThreat,
-		Save: func(path string, sc suite.Scenario) error {
-			s, ok := sc.(*threat.Scenario)
-			if !ok {
-				return fmt.Errorf("data: %s codec got %T", kindThreat, sc)
-			}
-			return SaveThreatScenario(path, s)
-		},
-		Load: func(path string) (suite.Scenario, error) { return LoadThreatScenario(path) },
-	},
-	kindTerrain: {
-		Kind: kindTerrain,
-		Save: func(path string, sc suite.Scenario) error {
-			s, ok := sc.(*terrain.Scenario)
-			if !ok {
-				return fmt.Errorf("data: %s codec got %T", kindTerrain, sc)
-			}
-			return SaveTerrainScenario(path, s)
-		},
-		Load: func(path string) (suite.Scenario, error) { return LoadTerrainScenario(path) },
-	},
-	kindRoute: {
-		Kind: kindRoute,
-		Save: func(path string, sc suite.Scenario) error {
-			s, ok := sc.(*route.Scenario)
-			if !ok {
-				return fmt.Errorf("data: %s codec got %T", kindRoute, sc)
-			}
-			return SaveRouteScenario(path, s)
-		},
-		Load: func(path string) (suite.Scenario, error) { return LoadRouteScenario(path) },
-	},
-	kindPlot: {
-		Kind: kindPlot,
-		Save: func(path string, sc suite.Scenario) error {
-			s, ok := sc.(*plottrack.Scenario)
-			if !ok {
-				return fmt.Errorf("data: %s codec got %T", kindPlot, sc)
-			}
-			return SavePlotScenario(path, s)
-		},
-		Load: func(path string) (suite.Scenario, error) { return LoadPlotScenario(path) },
-	},
-	kindHypo: {
-		Kind: kindHypo,
-		Save: func(path string, sc suite.Scenario) error {
-			s, ok := sc.(*hypothesis.Scenario)
-			if !ok {
-				return fmt.Errorf("data: %s codec got %T", kindHypo, sc)
-			}
-			return SaveHypothesisScenario(path, s)
-		},
-		Load: func(path string) (suite.Scenario, error) { return LoadHypothesisScenario(path) },
-	},
-}
-
-// CodecFor returns the serialization codec for a registered workload kind.
-func CodecFor(kind string) (Codec, error) {
-	c, ok := codecs[kind]
-	if !ok {
-		return Codec{}, fmt.Errorf("data: no codec for workload kind %q", kind)
-	}
-	return c, nil
 }
 
 // Golden records the expected checksum for one scenario — the benchmark's

@@ -133,6 +133,40 @@ func (s *Scenario) Units() int { return len(s.Obs) }
 // Warm implements suite.Scenario; the scenario holds no lazy caches.
 func (s *Scenario) Warm() {}
 
+// Validate implements suite.Scenario: hypotheses and observations lie in
+// the field with bounded speeds and priors, and the observation stream is
+// time-ordered within the scenario's steps.
+func (s *Scenario) Validate() error {
+	if s.Field <= 0 || s.Steps <= 0 {
+		return fmt.Errorf("hypothesis: field %d / steps %d, want positive", s.Field, s.Steps)
+	}
+	for _, h := range s.Hyps {
+		if h.X < 0 || h.X >= s.Field || h.Y < 0 || h.Y >= s.Field {
+			return fmt.Errorf("hypothesis: hypothesis %d at (%d,%d) outside %d×%d field",
+				h.ID, h.X, h.Y, s.Field, s.Field)
+		}
+		if h.VX < -MaxSpeed || h.VX > MaxSpeed || h.VY < -MaxSpeed || h.VY > MaxSpeed {
+			return fmt.Errorf("hypothesis: hypothesis %d velocity (%d,%d) outside ±%d", h.ID, h.VX, h.VY, MaxSpeed)
+		}
+		if h.Prior < 0 || h.Prior > MaxPrior {
+			return fmt.Errorf("hypothesis: hypothesis %d prior %d outside 0..%d", h.ID, h.Prior, MaxPrior)
+		}
+	}
+	for i, o := range s.Obs {
+		if o.T < 0 || o.T >= s.Steps {
+			return fmt.Errorf("hypothesis: observation %d at step %d outside 0..%d", o.ID, o.T, s.Steps-1)
+		}
+		if o.X < 0 || o.X >= s.Field || o.Y < 0 || o.Y >= s.Field {
+			return fmt.Errorf("hypothesis: observation %d at (%d,%d) outside %d×%d field",
+				o.ID, o.X, o.Y, s.Field, s.Field)
+		}
+		if i > 0 && o.T < s.Obs[i-1].T {
+			return fmt.Errorf("hypothesis: observation stream not time-ordered at index %d", i)
+		}
+	}
+	return nil
+}
+
 // Checksum reduces a solver's result to a stable FNV-1a checksum over the
 // quantities every variant provably shares: the problem shape, the best
 // score, and each surviving hypothesis with its total evidence, in

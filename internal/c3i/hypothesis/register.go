@@ -38,6 +38,7 @@ func init() {
 		Generate: func(scale float64) []suite.Scenario {
 			return suite.Scenarios(Suite(scale))
 		},
+		New: func() suite.Scenario { return &Scenario{} },
 		// The declared scenario grid: the problem shapes the conformance
 		// tests cover and `c3ibench -grid hypothesis-testing` sweeps. The
 		// defaults pin the paper point (the registered default scale, the

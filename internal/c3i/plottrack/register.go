@@ -2,6 +2,7 @@ package plottrack
 
 import (
 	"encoding/binary"
+	"fmt"
 	"hash/fnv"
 
 	"repro/internal/c3i/suite"
@@ -18,6 +19,36 @@ func (s *Scenario) Units() int { return s.framePlots() }
 
 // Warm implements suite.Scenario; the scenario holds no lazy caches.
 func (s *Scenario) Warm() {}
+
+// Validate implements suite.Scenario: every track and plot lies in the
+// field, qualities are in range, and all frames hold the same plot count.
+func (s *Scenario) Validate() error {
+	if s.Field <= 0 {
+		return fmt.Errorf("plottrack: field size %d, want positive", s.Field)
+	}
+	for _, tr := range s.Tracks {
+		if tr.X < 0 || tr.X >= s.Field || tr.Y < 0 || tr.Y >= s.Field {
+			return fmt.Errorf("plottrack: track %d at (%d,%d) outside %d×%d field",
+				tr.ID, tr.X, tr.Y, s.Field, s.Field)
+		}
+		if tr.Quality < 0 || tr.Quality > MaxQuality {
+			return fmt.Errorf("plottrack: track %d quality %d outside 0..%d", tr.ID, tr.Quality, MaxQuality)
+		}
+	}
+	for f, frame := range s.Frames {
+		if len(frame) != len(s.Frames[0]) {
+			return fmt.Errorf("plottrack: frame %d has %d plots, frame 0 has %d — frames must be one size",
+				f, len(frame), len(s.Frames[0]))
+		}
+		for _, p := range frame {
+			if p.X < 0 || p.X >= s.Field || p.Y < 0 || p.Y >= s.Field {
+				return fmt.Errorf("plottrack: frame %d plot %d at (%d,%d) outside %d×%d field",
+					f, p.ID, p.X, p.Y, s.Field, s.Field)
+			}
+		}
+	}
+	return nil
+}
 
 // Checksum reduces a solver's result to a stable FNV-1a checksum over the
 // quantities every variant provably shares: the problem shape and each
@@ -75,6 +106,7 @@ func init() {
 		Generate: func(scale float64) []suite.Scenario {
 			return suite.Scenarios(Suite(scale))
 		},
+		New: func() suite.Scenario { return &Scenario{} },
 		// A modest declared grid: sensor load × gating radius. Gate values
 		// stay at or above the generation default, so every plot keeps its
 		// gated candidates and the auction stays well-conditioned at every

@@ -2,6 +2,7 @@ package route
 
 import (
 	"encoding/binary"
+	"fmt"
 	"hash/fnv"
 
 	"repro/internal/c3i/suite"
@@ -17,6 +18,29 @@ func (s *Scenario) Units() int { return len(s.Queries) }
 
 // Warm implements suite.Scenario; the scenario holds no lazy caches.
 func (s *Scenario) Warm() {}
+
+// Validate implements suite.Scenario: the risk grid matches its dimensions,
+// no cell has negative risk, and every query's endpoints lie on the grid.
+func (s *Scenario) Validate() error {
+	// Dividing rather than multiplying keeps a huge W×H from wrapping round
+	// to the slice length.
+	if s.W <= 0 || s.H <= 0 || len(s.Risk)%s.W != 0 || len(s.Risk)/s.W != s.H {
+		return fmt.Errorf("route: risk length %d != %d×%d", len(s.Risk), s.W, s.H)
+	}
+	for i, r := range s.Risk {
+		if r < 0 {
+			return fmt.Errorf("route: negative risk %d at cell %d", r, i)
+		}
+	}
+	for _, q := range s.Queries {
+		if q.SX < 0 || q.SX >= s.W || q.SY < 0 || q.SY >= s.H ||
+			q.GX < 0 || q.GX >= s.W || q.GY < 0 || q.GY >= s.H {
+			return fmt.Errorf("route: query %d endpoints (%d,%d)→(%d,%d) outside %d×%d grid",
+				q.ID, q.SX, q.SY, q.GX, q.GY, s.W, s.H)
+		}
+	}
+	return nil
+}
 
 // Checksum reduces a solver's per-request path costs (in query order —
 // identical across all variants) to a stable FNV-1a checksum.
@@ -53,6 +77,7 @@ func init() {
 		Generate: func(scale float64) []suite.Scenario {
 			return suite.Scenarios(Suite(scale))
 		},
+		New: func() suite.Scenario { return &Scenario{} },
 		Variants: []*suite.Variant{
 			{
 				// Textbook Dijkstra with a binary heap — the reference.

@@ -196,3 +196,20 @@ func TestSuiteShapes(t *testing.T) {
 		t.Error("tiny scales must keep at least one query")
 	}
 }
+
+func TestPathCostChecksum(t *testing.T) {
+	a := []int64{10, 20, 30}
+	b := []int64{10, 20, 30}
+	if Checksum(a) != Checksum(b) {
+		t.Error("identical cost lists differ")
+	}
+	if Checksum(a) == Checksum([]int64{10, 30, 20}) {
+		t.Error("checksum ignores query order (it must not: costs are per query)")
+	}
+	if Checksum(a) == Checksum(a[:2]) {
+		t.Error("checksum missed a dropped cost")
+	}
+	if Checksum(nil) == Checksum([]int64{0}) {
+		t.Error("empty vs single-zero collide")
+	}
+}

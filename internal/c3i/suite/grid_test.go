@@ -20,6 +20,7 @@ func gridWorkload(name, key string) *Workload {
 		Reference:        "sequential",
 		ValidateVariants: []string{"sequential"},
 		Generate:         func(scale float64) []Scenario { return nil },
+		New:              func() Scenario { return testScenario{} },
 		Grid: &Grid{Axes: []Axis{
 			{Name: "scale", Kind: AxisScale, Values: []float64{0.1, 0.5, 1}, Default: 1},
 			{Name: "gate", Kind: AxisParam, Values: []float64{10, 20, 40}, Default: 20},

@@ -92,6 +92,9 @@ type Scenario interface {
 	// solver runs only read the scenario — required before concurrent
 	// experiment runs share one scenario. A no-op where nothing is cached.
 	Warm()
+	// Validate reports whether the scenario is one the solvers can run: the
+	// range checks a decoded scenario file must pass before it is solved.
+	Validate() error
 }
 
 // Scenarios converts a typed scenario slice to the interface slice a
@@ -177,6 +180,9 @@ type Workload struct {
 	// Generate builds the benchmark's scenario suite at a workload scale
 	// (scale 1 ≈ the paper's inputs).
 	Generate func(scale float64) []Scenario
+	// New returns an empty scenario of the workload's concrete type for a
+	// decoder to fill (cmd/c3idata's scenario files).
+	New func() Scenario
 	// Variants are the workload's program styles, listing order preserved.
 	Variants []*Variant
 	// Grid, when non-nil, declares the workload's swept scenario-parameter
@@ -275,6 +281,8 @@ func check(w *Workload) error {
 		return fmt.Errorf("suite: workload %s needs positive DefaultScale, DataScale and SmallScale", w.Name)
 	case w.Generate == nil:
 		return fmt.Errorf("suite: workload %s needs a Generate hook", w.Name)
+	case w.New == nil:
+		return fmt.Errorf("suite: workload %s needs a New hook", w.Name)
 	case len(w.Variants) == 0:
 		return fmt.Errorf("suite: workload %s registers no variants", w.Name)
 	}

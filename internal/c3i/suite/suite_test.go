@@ -7,6 +7,15 @@ import (
 	"repro/internal/machine"
 )
 
+// testScenario is the empty scenario the mechanics-test descriptors decode
+// into.
+type testScenario struct{}
+
+func (testScenario) ScenarioName() string { return "test-1" }
+func (testScenario) Units() int           { return 1 }
+func (testScenario) Warm()                {}
+func (testScenario) Validate() error      { return nil }
+
 // testWorkload builds a minimal valid descriptor for registry-mechanics
 // tests (names are prefixed so they cannot collide with real workloads).
 func testWorkload(name, key string) *Workload {
@@ -18,6 +27,7 @@ func testWorkload(name, key string) *Workload {
 		Reference:        "sequential",
 		ValidateVariants: []string{"sequential"},
 		Generate:         func(scale float64) []Scenario { return nil },
+		New:              func() Scenario { return testScenario{} },
 		Variants: []*Variant{
 			{Name: "sequential", Style: Sequential, Run: run},
 			{Name: "coarse", Style: Coarse, Defaults: Params{"workers": 4}, Run: run},
@@ -40,6 +50,7 @@ func TestRegisterRejectsIncompleteDescriptors(t *testing.T) {
 		{"zero data scale", func(w *Workload) { w.DataScale = 0 }, "positive DefaultScale"},
 		{"zero small scale", func(w *Workload) { w.SmallScale = 0 }, "SmallScale"},
 		{"nil generate", func(w *Workload) { w.Generate = nil }, "Generate hook"},
+		{"nil new", func(w *Workload) { w.New = nil }, "New hook"},
 		{"no variants", func(w *Workload) { w.Variants = nil }, "no variants"},
 		{"unnamed variant", func(w *Workload) {
 			w.Variants = append(w.Variants, &Variant{Style: Fine, Run: run})

@@ -2,6 +2,7 @@ package terrain
 
 import (
 	"encoding/binary"
+	"fmt"
 	"hash/fnv"
 	"math"
 
@@ -15,6 +16,37 @@ func (s *Scenario) ScenarioName() string { return s.Name }
 // Units implements suite.Scenario: the scaled unit is the threat-site count
 // (the terrain itself stays at full size at any scale).
 func (s *Scenario) Units() int { return len(s.Threats) }
+
+// Validate implements suite.Scenario: the elevation grid matches its
+// dimensions, and every threat site has a positive radius, a distinct ID
+// (the ray-visit cache is keyed by it) and a full region-of-influence
+// margin from the terrain edge, as GenScenario places them.
+func (s *Scenario) Validate() error {
+	g := s.Grid
+	if g == nil {
+		return fmt.Errorf("terrain: no elevation grid")
+	}
+	// Dividing rather than multiplying keeps a huge W×H from wrapping round
+	// to the slice length.
+	if g.W <= 0 || g.H <= 0 || len(g.Elev)%g.W != 0 || len(g.Elev)/g.W != g.H {
+		return fmt.Errorf("terrain: elevation length %d != %d×%d", len(g.Elev), g.W, g.H)
+	}
+	ids := make(map[int]bool, len(s.Threats))
+	for _, t := range s.Threats {
+		if t.R <= 0 {
+			return fmt.Errorf("terrain: threat site %d radius %d, want positive", t.ID, t.R)
+		}
+		if t.X < t.R || t.X >= g.W-t.R || t.Y < t.R || t.Y >= g.H-t.R {
+			return fmt.Errorf("terrain: threat site %d at (%d,%d) radius %d reaches outside the %d×%d grid",
+				t.ID, t.X, t.Y, t.R, g.W, g.H)
+		}
+		if ids[t.ID] {
+			return fmt.Errorf("terrain: threat site ID %d repeats", t.ID)
+		}
+		ids[t.ID] = true
+	}
+	return nil
+}
 
 // Checksum reduces a Masking result to a stable FNV-1a checksum over the
 // float32 bit patterns (+Inf cells included, so coverage changes are
@@ -76,6 +108,7 @@ func init() {
 		Generate: func(scale float64) []suite.Scenario {
 			return suite.Scenarios(Suite(scale))
 		},
+		New: func() suite.Scenario { return &Scenario{} },
 		Variants: []*suite.Variant{
 			{
 				// Program 3: save / reset / trace / minimize, one threat at

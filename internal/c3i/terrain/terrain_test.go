@@ -435,3 +435,25 @@ func TestHybridOverlapsSerialDrivers(t *testing.T) {
 		t.Errorf("hybrid (%.0f cycles) not faster than fine (%.0f) on 8 procs", hybrid, fine)
 	}
 }
+
+func TestMaskingChecksumSensitive(t *testing.T) {
+	g := &Grid{W: 10, H: 10, Elev: make([]float32, 100)}
+	a := NewMasking(g)
+	b := NewMasking(g)
+	if a.Checksum() != b.Checksum() {
+		t.Error("identical maskings differ")
+	}
+	b.Vals[55] = 123
+	if a.Checksum() == b.Checksum() {
+		t.Error("changed cell not detected")
+	}
+	// +Inf vs 0 must differ (coverage matters).
+	c := NewMasking(g)
+	c.Vals[0] = 0
+	if a.Checksum() == c.Checksum() {
+		t.Error("Inf→0 not detected")
+	}
+	if !math.IsInf(float64(a.Vals[0]), 1) {
+		t.Error("fresh masking not +Inf")
+	}
+}

@@ -2,6 +2,7 @@ package threat
 
 import (
 	"encoding/binary"
+	"fmt"
 	"hash/fnv"
 
 	"repro/internal/c3i/suite"
@@ -24,6 +25,15 @@ func (s *Scenario) Warm() {
 			s.CachedPairIntervals(ti, wi, func(int, int) {})
 		}
 	}
+}
+
+// Validate implements suite.Scenario: the time step must be positive, or
+// the interception scan has no steps to walk.
+func (s *Scenario) Validate() error {
+	if !(s.DT > 0) {
+		return fmt.Errorf("threat: time step %g, want positive", s.DT)
+	}
+	return nil
 }
 
 // Checksum reduces a solver's interval set to a stable FNV-1a checksum: the
@@ -86,6 +96,7 @@ func init() {
 		Generate: func(scale float64) []suite.Scenario {
 			return suite.Scenarios(Suite(scale))
 		},
+		New: func() suite.Scenario { return &Scenario{} },
 		Variants: []*suite.Variant{
 			{
 				// Program 1: one shared num_intervals counter and array.

@@ -376,3 +376,19 @@ func TestPropertyIntervalInvariants(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+func TestIntervalsChecksumOrderInsensitive(t *testing.T) {
+	a := []Interval{{Threat: 0, Weapon: 1, T1: 5, T2: 9}, {Threat: 2, Weapon: 0, T1: 1, T2: 2}}
+	b := []Interval{a[1], a[0]}
+	if Checksum(a) != Checksum(b) {
+		t.Error("checksum depends on order")
+	}
+	c := append([]Interval{}, a...)
+	c[0].T2 = 10
+	if Checksum(a) == Checksum(c) {
+		t.Error("checksum missed a changed interval")
+	}
+	if Checksum(a) == Checksum(a[:1]) {
+		t.Error("checksum missed a dropped interval")
+	}
+}

@@ -51,8 +51,8 @@ func (h *Harness) Run(ctx context.Context) (*Result, error) {
 	}
 	gen := newGenerator(&h.cfg)
 	endpoints := map[string]*collector{
-		serve.RunPath:    newCollector(),
-		serve.StreamPath: newCollector(),
+		serve.RunPath:    &collector{},
+		serve.StreamPath: &collector{},
 	}
 	result := &Result{
 		Config: ConfigEcho{
@@ -97,12 +97,13 @@ func (h *Harness) Run(ctx context.Context) (*Result, error) {
 // the fixed schedule start + n·interval regardless of outstanding requests
 // (arrivals do not wait for completions), with MaxInflight as the harness's
 // own memory bound — an over-limit launch is counted as dropped and skipped.
-// Requests launched during the warmup lead-in are sent but not recorded. The
-// returned window is the measured send span the step's rates are computed
-// over.
+// Each request is timed from its scheduled launch, so a generator that falls
+// behind shows up as latency instead of hiding the queueing. Requests
+// scheduled in the warmup lead-in are sent but not recorded. The returned
+// window is the measured send span the step's rates are computed over.
 func (h *Harness) runStep(ctx context.Context, gen *generator, rps float64, endpoints map[string]*collector) (StepStats, time.Duration) {
 	interval := float64(time.Second) / rps
-	col := newCollector()
+	col := &collector{}
 	tokens := make(chan struct{}, h.cfg.MaxInflight)
 	var wg sync.WaitGroup
 	start := time.Now() //c3ivet:ignore determinism the load harness measures real wall-clock latency by design
@@ -120,7 +121,7 @@ func (h *Harness) runStep(ctx context.Context, gen *generator, rps float64, endp
 			}
 		}
 		req := gen.next()
-		recorded := !time.Now().Before(warmEnd) //c3ivet:ignore determinism warmup cutoff is a wall-clock decision, not a model input
+		recorded := !target.Before(warmEnd)
 		select {
 		case tokens <- struct{}{}:
 		default:
@@ -131,15 +132,15 @@ func (h *Harness) runStep(ctx context.Context, gen *generator, rps float64, endp
 			continue
 		}
 		wg.Add(1)
-		go func(req request, recorded bool) {
+		go func(req request, due time.Time, recorded bool) {
 			defer wg.Done()
 			defer func() { <-tokens }()
-			o := h.send(ctx, req)
+			o := h.send(ctx, req, due)
 			if recorded {
 				col.observe(o)
 				endpoints[req.endpoint].observe(o)
 			}
-		}(req, recorded)
+		}(req, target, recorded)
 	}
 	window := time.Since(warmEnd) //c3ivet:ignore determinism the measurement window is host wall-clock by design
 	if window <= 0 {
@@ -154,11 +155,11 @@ func (h *Harness) runStep(ctx context.Context, gen *generator, rps float64, endp
 }
 
 // send issues one request on its transport and classifies the outcome.
-// Latency spans the whole exchange — for the stream, until the last NDJSON
-// event arrives, since a Record still in flight is not yet served.
-func (h *Harness) send(ctx context.Context, req request) outcome {
+// Latency runs from due, the request's scheduled launch, to the end of the
+// exchange — for the stream, until the last NDJSON event arrives, since a
+// Record still in flight is not yet served.
+func (h *Harness) send(ctx context.Context, req request, due time.Time) outcome {
 	o := outcome{specs: len(req.specs)}
-	t0 := time.Now() //c3ivet:ignore determinism per-request latency measurement is the harness output
 	var err error
 	if req.endpoint == serve.StreamPath {
 		err = h.client.RunStream(ctx, req.specs, func(ev serve.StreamEvent) {
@@ -181,7 +182,7 @@ func (h *Harness) send(ctx context.Context, req request) outcome {
 			}
 		}
 	}
-	o.latency = time.Since(t0) //c3ivet:ignore determinism per-request latency measurement is the harness output
+	o.latency = time.Since(due) //c3ivet:ignore determinism per-request latency measurement is the harness output
 	if err != nil {
 		var se *serve.StatusError
 		if errors.As(err, &se) && se.Code == http.StatusTooManyRequests {

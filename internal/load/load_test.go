@@ -24,6 +24,7 @@ func init() {
 		Generate: func(scale float64) []suite.Scenario {
 			return []suite.Scenario{hookScenario{}}
 		},
+		New: func() suite.Scenario { return hookScenario{} },
 		Variants: []*suite.Variant{{
 			Name: "sequential", Style: suite.Sequential,
 			Defaults: suite.Params{"work": 50},
@@ -40,6 +41,7 @@ type hookScenario struct{}
 func (hookScenario) ScenarioName() string { return "lh-1" }
 func (hookScenario) Units() int           { return 1 }
 func (hookScenario) Warm()                {}
+func (hookScenario) Validate() error      { return nil }
 
 // baseConfig is a resolvable config over the hook workload.
 func baseConfig() Config {
@@ -304,6 +306,64 @@ func TestParseResultRejectsBadArtifacts(t *testing.T) {
 	for name, in := range cases {
 		if _, err := ParseResult(strings.NewReader(in)); err == nil {
 			t.Errorf("%s accepted", name)
+		}
+	}
+}
+
+func TestStatsExactOrderStatistics(t *testing.T) {
+	// 1..100 ms, observed out of order: nearest-rank percentiles land on
+	// samples exactly, with no bucket interpolation.
+	c := &collector{}
+	for i := 100; i >= 1; i-- {
+		c.observe(outcome{latency: time.Duration(i) * time.Millisecond})
+	}
+	c.observe(outcome{rejected: true, latency: time.Hour})
+	c.observe(outcome{failed: true, latency: time.Hour})
+	st := c.stats(time.Second)
+	if st.P50Ms != 50 || st.P95Ms != 95 || st.P99Ms != 99 || st.MeanMs != 50.5 {
+		t.Errorf("p50/p95/p99/mean = %g/%g/%g/%g ms, want 50/95/99/50.5",
+			st.P50Ms, st.P95Ms, st.P99Ms, st.MeanMs)
+	}
+	if st.Requests != 102 || st.Rejected != 1 || st.Errors != 1 {
+		t.Errorf("counts = %+v", st)
+	}
+	one := &collector{}
+	one.observe(outcome{latency: 7 * time.Millisecond})
+	if st := one.stats(time.Second); st.P50Ms != 7 || st.P99Ms != 7 {
+		t.Errorf("single sample: p50 %g, p99 %g, want 7", st.P50Ms, st.P99Ms)
+	}
+	if st := new(collector).stats(time.Second); st.P50Ms != 0 || st.MeanMs != 0 {
+		t.Errorf("no samples: %+v", st)
+	}
+}
+
+func TestSendTimesFromDue(t *testing.T) {
+	// A request whose scheduled launch is already past — a generator that
+	// fell behind — reports at least its lag, not just its own exchange.
+	runner := run.NewRunner(0)
+	srv := serve.New(runner, serve.Options{WorkersPerWorkload: 1})
+	ts := httptest.NewServer(srv)
+	defer func() {
+		ts.Close()
+		srv.Close()
+	}()
+	cfg := baseConfig()
+	cfg.Addr = ts.URL
+	cfg.Scale = 1
+	cfg.Platform = "alpha"
+	h, err := New(cfg, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := run.Spec{Workload: "load-hook", Variant: "sequential", Platform: "alpha", Procs: 1, Scale: 1}
+	const lag = 300 * time.Millisecond
+	for _, endpoint := range []string{serve.RunPath, serve.StreamPath} {
+		o := h.send(context.Background(), request{endpoint: endpoint, specs: []run.Spec{spec}}, time.Now().Add(-lag))
+		if o.failed || o.rejected || o.records != 1 {
+			t.Fatalf("%s: outcome %+v", endpoint, o)
+		}
+		if o.latency < lag {
+			t.Errorf("%s: latency %v for a request due %v ago", endpoint, o.latency, lag)
 		}
 	}
 }

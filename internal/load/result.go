@@ -4,28 +4,20 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"os"
+	"slices"
+	"sync"
 	"sync/atomic"
 	"time"
-
-	"repro/internal/obs"
 )
 
-// LatencyBuckets are the client-side request-latency histogram bounds in
-// seconds. Serving latency lives orders of magnitude below the engine
-// latencies obs.DefLatencyBuckets were laid out for (a cached record answers
-// in well under a millisecond on loopback), so the low end is finer here;
-// the top still covers a cold paper-scale Spec held open for half a minute.
-var LatencyBuckets = []float64{
-	0.0002, 0.0005, 0.001, 0.002, 0.005, 0.01, 0.02, 0.05,
-	0.1, 0.2, 0.5, 1, 2, 5, 10, 30,
-}
-
 // collector accumulates one traffic series (a step, or an endpoint across
-// the whole run). Counters are atomic and the histogram is obs.Histogram,
-// so concurrent in-flight requests record without coordination.
+// the whole run). Counters are atomic; the latency samples are kept whole
+// under a mutex, so the percentiles are exact order statistics.
 type collector struct {
-	hist       *obs.Histogram
+	mu         sync.Mutex
+	latencies  []time.Duration
 	requests   atomic.Int64
 	errors     atomic.Int64
 	rejected   atomic.Int64
@@ -35,15 +27,11 @@ type collector struct {
 	specErrors atomic.Int64
 }
 
-func newCollector() *collector {
-	return &collector{hist: obs.NewHistogram(LatencyBuckets...)}
-}
-
 // outcome is one finished (or refused) request as the collectors see it.
 type outcome struct {
-	latency    time.Duration
-	rejected   bool // 429 admission pushback
-	failed     bool // transport error or any other non-200
+	latency    time.Duration // from the request's scheduled launch
+	rejected   bool          // 429 admission pushback
+	failed     bool          // transport error or any other non-200
 	specs      int
 	records    int
 	specErrors int
@@ -61,7 +49,9 @@ func (c *collector) observe(o outcome) {
 	case o.failed:
 		c.errors.Add(1)
 	default:
-		c.hist.Observe(o.latency.Seconds())
+		c.mu.Lock()
+		c.latencies = append(c.latencies, o.latency)
+		c.mu.Unlock()
 		c.specs.Add(int64(o.specs))
 		c.records.Add(int64(o.records))
 		c.specErrors.Add(int64(o.specErrors))
@@ -91,7 +81,8 @@ type TrafficStats struct {
 	AchievedRPS float64 `json:"achieved_rps"`
 	// RecordsPerSecond is the delivered throughput in Records per second.
 	RecordsPerSecond float64 `json:"throughput_records_per_s"`
-	// Latency percentiles over successful requests, milliseconds.
+	// Latency over successful requests, milliseconds, each timed from its
+	// scheduled launch: nearest-rank percentiles and the mean.
 	P50Ms  float64 `json:"p50_ms"`
 	P95Ms  float64 `json:"p95_ms"`
 	P99Ms  float64 `json:"p99_ms"`
@@ -100,6 +91,10 @@ type TrafficStats struct {
 
 // stats snapshots the collector over a measured window.
 func (c *collector) stats(window time.Duration) TrafficStats {
+	c.mu.Lock()
+	lat := slices.Clone(c.latencies)
+	c.mu.Unlock()
+	slices.Sort(lat)
 	s := TrafficStats{
 		Requests:   c.requests.Load(),
 		Errors:     c.errors.Load(),
@@ -108,12 +103,16 @@ func (c *collector) stats(window time.Duration) TrafficStats {
 		Specs:      c.specs.Load(),
 		Records:    c.records.Load(),
 		SpecErrors: c.specErrors.Load(),
-		P50Ms:      c.hist.Quantile(0.50) * 1000,
-		P95Ms:      c.hist.Quantile(0.95) * 1000,
-		P99Ms:      c.hist.Quantile(0.99) * 1000,
+		P50Ms:      ms(percentile(lat, 0.50)),
+		P95Ms:      ms(percentile(lat, 0.95)),
+		P99Ms:      ms(percentile(lat, 0.99)),
 	}
-	if n := c.hist.Count(); n > 0 {
-		s.MeanMs = c.hist.Sum() / float64(n) * 1000
+	if len(lat) > 0 {
+		var sum time.Duration
+		for _, d := range lat {
+			sum += d
+		}
+		s.MeanMs = ms(sum) / float64(len(lat))
 	}
 	if secs := window.Seconds(); secs > 0 {
 		s.AchievedRPS = float64(s.Requests) / secs
@@ -121,6 +120,18 @@ func (c *collector) stats(window time.Duration) TrafficStats {
 	}
 	return s
 }
+
+// percentile returns the nearest-rank q-quantile (0 < q ≤ 1) of sorted
+// samples: the smallest sample with at least q of the samples at or below
+// it. It returns 0 for no samples.
+func percentile(sorted []time.Duration, q float64) time.Duration {
+	if len(sorted) == 0 {
+		return 0
+	}
+	return sorted[max(int(math.Ceil(q*float64(len(sorted))))-1, 0)]
+}
+
+func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
 
 // StepStats is one point of the saturation curve.
 type StepStats struct {

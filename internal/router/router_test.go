@@ -32,6 +32,7 @@ func init() {
 			return []suite.Scenario{hookScenario{}}
 		},
 		DefaultScale: 1, DataScale: 1, SmallScale: 1,
+		New: func() suite.Scenario { return hookScenario{} },
 		Variants: []*suite.Variant{{
 			Name: "sequential", Style: suite.Sequential,
 			Defaults: suite.Params{"work": 100},
@@ -48,6 +49,7 @@ type hookScenario struct{}
 func (hookScenario) ScenarioName() string { return "rh-1" }
 func (hookScenario) Units() int           { return 1 }
 func (hookScenario) Warm()                {}
+func (hookScenario) Validate() error      { return nil }
 
 func hookSpec(work int) run.Spec {
 	return run.Spec{Workload: "router-hook", Variant: "sequential", Platform: "alpha", Procs: 1,

@@ -57,6 +57,7 @@ type hookScenario struct{}
 func (hookScenario) ScenarioName() string { return "hook-1" }
 func (hookScenario) Units() int           { return 1 }
 func (hookScenario) Warm()                {}
+func (hookScenario) Validate() error      { return nil }
 
 func init() {
 	suite.MustRegister(&suite.Workload{
@@ -67,6 +68,7 @@ func init() {
 			callGenHook()
 			return []suite.Scenario{hookScenario{}}
 		},
+		New: func() suite.Scenario { return hookScenario{} },
 		Variants: []*suite.Variant{{
 			Name: "sequential", Style: suite.Sequential,
 			Defaults: suite.Params{"work": 100},

@@ -31,6 +31,7 @@ func init() {
 		Generate: func(scale float64) []suite.Scenario {
 			return []suite.Scenario{hookScenario{}}
 		},
+		New: func() suite.Scenario { return hookScenario{} },
 		Variants: []*suite.Variant{{
 			Name: "sequential", Style: suite.Sequential,
 			Defaults: suite.Params{"work": 100},
@@ -47,6 +48,7 @@ type hookScenario struct{}
 func (hookScenario) ScenarioName() string { return "sh-1" }
 func (hookScenario) Units() int           { return 1 }
 func (hookScenario) Warm()                {}
+func (hookScenario) Validate() error      { return nil }
 
 func hookSpec(work int) run.Spec {
 	return run.Spec{Workload: "serve-hook", Variant: "sequential", Platform: "alpha", Procs: 1,

@@ -64,6 +64,7 @@ func init() {
 		Generate: func(scale float64) []suite.Scenario {
 			return []suite.Scenario{gateScenario{}}
 		},
+		New: func() suite.Scenario { return gateScenario{} },
 		Variants: []*suite.Variant{{
 			Name: "sequential", Style: suite.Sequential,
 			Defaults: suite.Params{"work": 100, "gate": 0},
@@ -83,6 +84,7 @@ type gateScenario struct{}
 func (gateScenario) ScenarioName() string { return "sg-1" }
 func (gateScenario) Units() int           { return 1 }
 func (gateScenario) Warm()                {}
+func (gateScenario) Validate() error      { return nil }
 
 func TestServeStreamMatchesBatch(t *testing.T) {
 	// /v1/run/stream delivers every spec exactly once (the client verifies
