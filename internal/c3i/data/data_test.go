@@ -325,6 +325,79 @@ func TestUnknownKindRejected(t *testing.T) {
 	}
 }
 
+// TestPlotScenarioRoundTrip round-trips a multi-frame Plot-Track scenario,
+// larger than its fixture, and checks every track and plot survives.
+func TestPlotScenarioRoundTrip(t *testing.T) {
+	w := mustLookup(t, "plot-track-assignment")
+	path := filepath.Join(t.TempDir(), "p1.c3i")
+	s := plottrack.GenScenario("rt", plottrack.GenParams{Field: 256, NumTracks: 12, NumPlots: 14, Frames: 3, Seed: 3})
+	if err := Save(path, w, s); err != nil {
+		t.Fatal(err)
+	}
+	sc, err := Load(path, w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := sc.(*plottrack.Scenario)
+	if got.Name != s.Name || got.Field != s.Field {
+		t.Fatalf("metadata mismatch: %q field %d", got.Name, got.Field)
+	}
+	if len(got.Tracks) != len(s.Tracks) {
+		t.Fatalf("%d tracks after round trip, want %d", len(got.Tracks), len(s.Tracks))
+	}
+	for i := range s.Tracks {
+		if got.Tracks[i] != s.Tracks[i] {
+			t.Fatalf("track %d differs after round trip", i)
+		}
+	}
+	if len(got.Frames) != len(s.Frames) {
+		t.Fatalf("%d frames after round trip, want %d", len(got.Frames), len(s.Frames))
+	}
+	for f := range s.Frames {
+		if len(got.Frames[f]) != len(s.Frames[f]) {
+			t.Fatalf("frame %d has %d plots after round trip, want %d", f, len(got.Frames[f]), len(s.Frames[f]))
+		}
+		for i := range s.Frames[f] {
+			if got.Frames[f][i] != s.Frames[f][i] {
+				t.Fatalf("frame %d plot %d differs after round trip", f, i)
+			}
+		}
+	}
+}
+
+// TestPlotScenarioValidation writes hand-built invalid Plot-Track files,
+// bypassing Save, and checks Load rejects each naming the fault.
+func TestPlotScenarioValidation(t *testing.T) {
+	w := mustLookup(t, "plot-track-assignment")
+	dir := t.TempDir()
+	cases := []struct {
+		label string
+		sc    *plottrack.Scenario
+		want  string
+	}{
+		{"zero field", &plottrack.Scenario{Name: "x", Field: 0}, "field size"},
+		{"track outside", &plottrack.Scenario{Name: "x", Field: 8,
+			Tracks: []plottrack.Track{{ID: 0, X: 9, Y: 0}}}, "outside"},
+		{"bad quality", &plottrack.Scenario{Name: "x", Field: 8,
+			Tracks: []plottrack.Track{{ID: 0, X: 1, Y: 1, Quality: 99}}}, "quality"},
+		{"plot outside", &plottrack.Scenario{Name: "x", Field: 8,
+			Frames: [][]plottrack.Plot{{{ID: 0, X: -1, Y: 0}}}}, "outside"},
+		{"ragged frames", &plottrack.Scenario{Name: "x", Field: 8,
+			Frames: [][]plottrack.Plot{{{ID: 0, X: 1, Y: 1}}, {}}}, "one size"},
+	}
+	for _, tc := range cases {
+		path := filepath.Join(dir, tc.label+".c3i")
+		if err := writeFile(path, w.Name, tc.sc); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Load(path, w); err == nil {
+			t.Errorf("%s: accepted", tc.label)
+		} else if !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: error %q does not mention %q", tc.label, err, tc.want)
+		}
+	}
+}
+
 func TestPlotVariantsMatchGoldenChecksum(t *testing.T) {
 	// The suite's correctness test for the Plot-Track Assignment problem:
 	// all three solver variants must reproduce the golden assignment-cost
