@@ -2,25 +2,15 @@ package main
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"io"
-	"net/http"
 	"strconv"
 	"strings"
 
 	"repro/internal/c3i/suite"
 	"repro/internal/report"
 	"repro/internal/run"
-	"repro/internal/serve"
 )
-
-// batchExecutor is the sweep surface a grid run needs: the local Runner and
-// the remote serve.Client both provide it, so `-grid` runs through a server
-// fleet with `-remote` unchanged.
-type batchExecutor interface {
-	RunAll(ctx context.Context, specs []run.Spec) ([]run.Record, error)
-}
 
 // parseGridFlag splits the -grid value: "workload" sweeps the full declared
 // grid; "workload=axis:v1,v2[;axis:v1,...]" restricts named axes to subsets
@@ -57,38 +47,6 @@ func parseGridFlag(s string) (name string, restrict map[string][]float64, err er
 	return name, restrict, nil
 }
 
-// runAdmitted executes the sweep's specs in order, shrinking the sub-batch
-// size whenever a server's admission control rejects one. A full grid is one
-// big single-workload batch — larger than a small c3iserve's bounded pool
-// queue — so a whole-batch POST can be rejected no matter how often it is
-// retried; halving until the batch fits (down to one Spec per request, the
-// granularity every server admits) lets the same sweep run against any fleet
-// configuration. Locally the executor never rejects and this is a single
-// RunAll call.
-func runAdmitted(exec batchExecutor, specs []run.Spec) ([]run.Record, error) {
-	ctx := context.Background()
-	recs := make([]run.Record, 0, len(specs))
-	chunk := len(specs)
-	for lo := 0; lo < len(specs); {
-		hi := lo + chunk
-		if hi > len(specs) {
-			hi = len(specs)
-		}
-		sub, err := exec.RunAll(ctx, specs[lo:hi])
-		if err != nil {
-			var se *serve.StatusError
-			if errors.As(err, &se) && se.Code == http.StatusTooManyRequests && chunk > 1 {
-				chunk = (chunk + 1) / 2
-				continue
-			}
-			return nil, err
-		}
-		recs = append(recs, sub...)
-		lo = hi
-	}
-	return recs, nil
-}
-
 // sweepError marks a grid failure that happened during execution (as opposed
 // to a usage error in the flag value or grid restriction): main reports it
 // with exit 1, the same contract as a failed experiment.
@@ -101,7 +59,7 @@ func (e *sweepError) Unwrap() error { return e.err }
 // envelope is deterministic — host-elapsed fields are zeroed — so a sweep
 // through `-remote` is byte-identical to the same sweep in-process.
 func gridSweep(w io.Writer, gridFlag, variant, platform string, procs int,
-	exec batchExecutor, jsonOut, md bool) error {
+	exec run.Executor, jsonOut, md bool) error {
 
 	name, restrict, err := parseGridFlag(gridFlag)
 	if err != nil {
@@ -126,7 +84,7 @@ func gridSweep(w io.Writer, gridFlag, variant, platform string, procs int,
 	for i, gp := range pts {
 		specs[i] = gp.Spec
 	}
-	recs, runErr := runAdmitted(exec, specs)
+	recs, runErr := run.Batch(context.Background(), exec, specs)
 	if runErr != nil {
 		if jsonOut {
 			// The envelope contract holds on failure too: an explicit failed

@@ -58,56 +58,84 @@ import (
 	"runtime"
 	"runtime/pprof"
 	"strings"
+	"time"
 
 	"repro/internal/c3i/suite"
 	"repro/internal/experiments"
+	"repro/internal/obs"
 	"repro/internal/run"
 	"repro/internal/serve"
 )
 
 func main() {
+	os.Exit(c3ibench(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// c3ibench runs the command with the given arguments and returns its exit
+// status: 2 for a usage error, 1 when an experiment or the grid sweep failed
+// or an output file could not be written, 0 otherwise.
+func c3ibench(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("c3ibench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		list    = flag.Bool("list", false, "list registered workloads, variants and experiment IDs, then exit")
-		runIDs  = flag.String("run", "", "comma-separated experiment IDs to run")
-		all     = flag.Bool("all", false, "run every experiment in paper order")
-		jobs    = flag.Int("jobs", 1, "number of parallel experiment workers (results still print in order)")
-		md      = flag.Bool("md", false, "emit Markdown instead of ASCII tables")
-		jsonOut = flag.Bool("json", false, "emit the raw run records as JSON instead of rendered tables/figures")
-		text    = flag.Bool("text", true, "include free-text output (compiler feedback)")
-		remote  = flag.String("remote", "", "execute run Specs against a c3iserve or c3irouter endpoint (base URL) instead of in-process")
-		grid    = flag.String("grid", "", `sweep a workload's declared scenario grid: "workload" or "workload=axis:v1,v2[;axis:...]"`)
-		gridVar = flag.String("grid-variant", "", "variant for -grid (default: the workload's reference variant)")
-		gridPlt = flag.String("grid-platform", "tera", "platform key for -grid")
-		gridNP  = flag.Int("grid-procs", 2, "processor count for -grid")
-		cpuProf = flag.String("cpuprofile", "", "write a CPU profile of the sweep to this file")
-		memProf = flag.String("memprofile", "", "write a post-sweep heap profile to this file")
-		stats   = flag.String("stats", "", `write the Runner's metrics snapshot (JSON) after the sweep to this file ("-" = stdout)`)
+		list    = fs.Bool("list", false, "list registered workloads, variants and experiment IDs, then exit")
+		runIDs  = fs.String("run", "", "comma-separated experiment IDs to run")
+		all     = fs.Bool("all", false, "run every experiment in paper order")
+		jobs    = fs.Int("jobs", 1, "number of cells run at once (results and their order do not depend on it)")
+		md      = fs.Bool("md", false, "emit Markdown instead of ASCII tables")
+		jsonOut = fs.Bool("json", false, "emit the raw run records as JSON instead of rendered tables/figures")
+		text    = fs.Bool("text", true, "include free-text output (compiler feedback)")
+		remote  = fs.String("remote", "", "execute run Specs against a c3iserve or c3irouter endpoint (base URL) instead of in-process, one batch per table")
+		grid    = fs.String("grid", "", `sweep a workload's declared scenario grid: "workload" or "workload=axis:v1,v2[;axis:...]"`)
+		gridVar = fs.String("grid-variant", "", "variant for -grid (default: the workload's reference variant)")
+		gridPlt = fs.String("grid-platform", "tera", "platform key for -grid")
+		gridNP  = fs.Int("grid-procs", 2, "processor count for -grid")
+		cpuProf = fs.String("cpuprofile", "", "write a CPU profile of the sweep to this file")
+		memProf = fs.String("memprofile", "", "write a post-sweep heap profile to this file")
+		stats   = fs.String("stats", "", `write the Runner's metrics snapshot (JSON) after the sweep to this file ("-" = stdout)`)
 	)
 	// One scale flag per registered workload: -scale-ta, -scale-tm, ...
 	scales := map[string]*float64{}
 	for _, w := range suite.All() {
-		scales[w.Name] = flag.Float64("scale-"+w.Key, w.DefaultScale,
+		scales[w.Name] = fs.Float64("scale-"+w.Key, w.DefaultScale,
 			fmt.Sprintf("%s workload scale (1 = the paper-scale %d %s)", w.Title, w.PaperUnits, w.UnitName))
 	}
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	usage := func(format string, a ...any) int {
+		fmt.Fprintf(stderr, "c3ibench: "+format+"\n", a...)
+		return 2
+	}
 
 	// Reject invalid values outright instead of silently serializing or
 	// falling back to registry defaults: a mistyped sweep should not emit
 	// tables (or CI artifacts) at a scale the caller did not ask for.
 	if *jobs < 1 {
-		fmt.Fprintf(os.Stderr, "c3ibench: -jobs %d: must be at least 1\n", *jobs)
-		os.Exit(2)
+		return usage("-jobs %d: must be at least 1", *jobs)
 	}
 	for _, w := range suite.All() {
 		if s := *scales[w.Name]; s <= 0 {
-			fmt.Fprintf(os.Stderr, "c3ibench: -scale-%s %g: must be positive\n", w.Key, s)
-			os.Exit(2)
+			return usage("-scale-%s %g: must be positive", w.Key, s)
 		}
 	}
 
 	if *list {
-		printList()
-		return
+		printList(stdout)
+		return 0
+	}
+
+	// Every Spec goes through one executor: a Runner running -jobs cells at
+	// once, or the -remote client. Client attempt/retry counters land in the
+	// Runner's registry, so -stats shows remote transport behaviour next to
+	// the run counters.
+	runner := run.NewRunner(*jobs)
+	var exec run.Executor = runner
+	if *remote != "" {
+		exec = &serve.Client{Addr: *remote, Metrics: runner.Metrics()}
 	}
 
 	if *grid != "" {
@@ -115,26 +143,20 @@ func main() {
 		// (or one table) for exactly the declared points, so mixing it with
 		// an experiment sweep would interleave two different documents.
 		if *all || *runIDs != "" {
-			fmt.Fprintln(os.Stderr, "c3ibench: -grid is standalone; drop -run/-all")
-			os.Exit(2)
+			return usage("-grid is standalone; drop -run/-all")
 		}
 		if *gridNP < 1 {
-			fmt.Fprintf(os.Stderr, "c3ibench: -grid-procs %d: must be at least 1\n", *gridNP)
-			os.Exit(2)
+			return usage("-grid-procs %d: must be at least 1", *gridNP)
 		}
-		var exec batchExecutor = run.NewRunner(*jobs)
-		if *remote != "" {
-			exec = &serve.Client{Addr: *remote, Metrics: experiments.Metrics()}
-		}
-		if err := gridSweep(os.Stdout, *grid, *gridVar, *gridPlt, *gridNP, exec, *jsonOut, *md); err != nil {
-			fmt.Fprintf(os.Stderr, "c3ibench: %v\n", err)
+		if err := gridSweep(stdout, *grid, *gridVar, *gridPlt, *gridNP, exec, *jsonOut, *md); err != nil {
+			fmt.Fprintf(stderr, "c3ibench: %v\n", err)
 			var se *sweepError
 			if errors.As(err, &se) {
-				os.Exit(1) // the sweep itself failed
+				return 1 // the sweep itself failed
 			}
-			os.Exit(2) // bad flag value, unknown workload/axis, undeclared point
+			return 2 // bad flag value, unknown workload/axis, undeclared point
 		}
-		return
+		return 0
 	}
 
 	var ids []string
@@ -144,81 +166,77 @@ func main() {
 	case *runIDs != "":
 		ids = strings.Split(*runIDs, ",")
 	default:
-		fmt.Fprintln(os.Stderr, "c3ibench: nothing to do; use -list, -run <ids> or -all")
-		os.Exit(2)
+		return usage("nothing to do; use -list, -run <ids> or -all")
 	}
 
-	cfg := experiments.Config{Scales: map[string]float64{}}
+	cfg := experiments.Config{Scales: map[string]float64{}, Executor: exec}
 	for name, s := range scales {
 		cfg.Scales[name] = *s
 	}
-	if *remote != "" {
-		// Client attempt/retry counters land in the same registry -stats
-		// snapshots, so remote transport behaviour is visible next to the
-		// run counters.
-		cfg.Executor = &serve.Client{Addr: *remote, Metrics: experiments.Metrics()}
-	}
 
 	if *jsonOut && *stats == "-" {
-		fmt.Fprintln(os.Stderr, "c3ibench: -json and -stats - both write stdout; give -stats a file")
-		os.Exit(2)
+		return usage("-json and -stats - both write stdout; give -stats a file")
 	}
 	stopCPU, err := startCPUProfile(*cpuProf)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "c3ibench: %v\n", err)
-		os.Exit(2)
+		return usage("%v", err)
 	}
 
-	// Outcomes stream in request order as they (and their predecessors)
-	// finish, so serial runs report incrementally and -jobs runs print
-	// identically. In -json mode the records are collected and emitted as
-	// one document once the sweep completes.
-	failures := 0
+	// Experiments run one after another, each reported as it finishes. In
+	// -json mode the records are collected and emitted as one document once
+	// the sweep completes.
 	var recorded []run.ExperimentRecords
 	var failed []run.ExperimentFailure
-	experiments.RunEach(ids, cfg, *jobs, func(oc experiments.Outcome) {
-		if oc.Err != nil {
-			fmt.Fprintf(os.Stderr, "c3ibench: %s: %v\n", oc.Experiment.ID, oc.Err)
-			failed = append(failed, run.ExperimentFailure{Experiment: oc.Experiment.ID, Error: oc.Err.Error()})
-			failures++
-			return
+	for _, id := range ids {
+		id = strings.TrimSpace(id)
+		start := time.Now()
+		e, err := experiments.Get(id)
+		var res *experiments.Result
+		if err == nil {
+			res, err = e.Run(cfg)
+		}
+		elapsed := time.Since(start)
+		if err != nil {
+			fmt.Fprintf(stderr, "c3ibench: %s: %v\n", id, err)
+			failed = append(failed, run.ExperimentFailure{Experiment: id, Error: err.Error()})
+			continue
 		}
 		if *jsonOut {
 			recorded = append(recorded, run.ExperimentRecords{
-				Experiment: oc.Experiment.ID,
-				Title:      oc.Experiment.Title,
-				ElapsedS:   oc.Elapsed.Seconds(),
-				Records:    oc.Result.Records,
+				Experiment: e.ID,
+				Title:      e.Title,
+				ElapsedS:   elapsed.Seconds(),
+				Records:    res.Records,
 			})
 		} else {
-			for _, tb := range oc.Result.Tables {
+			for _, tb := range res.Tables {
 				if *md {
-					fmt.Println(tb.Markdown())
+					fmt.Fprintln(stdout, tb.Markdown())
 				} else {
-					fmt.Println(tb.Render())
+					fmt.Fprintln(stdout, tb.Render())
 				}
 			}
-			for _, fig := range oc.Result.Figures {
-				fmt.Println(fig.Render(56, 16))
+			for _, fig := range res.Figures {
+				fmt.Fprintln(stdout, fig.Render(56, 16))
 			}
-			if *text && oc.Result.Text != "" {
-				fmt.Println(oc.Result.Text)
+			if *text && res.Text != "" {
+				fmt.Fprintln(stdout, res.Text)
 			}
 		}
-		fmt.Fprintf(os.Stderr, "[%s in %.1fs]\n", oc.Experiment.ID, oc.Elapsed.Seconds())
-	})
+		fmt.Fprintf(stderr, "[%s in %.1fs]\n", e.ID, elapsed.Seconds())
+	}
 	// Profiles cover exactly the sweep; the snapshot and profile files are
 	// written even when some experiments failed, so a partial sweep still
 	// leaves evidence of where the time went.
 	stopCPU()
-	toolErr := false
+	status := 0
 	if err := writeMemProfile(*memProf); err != nil {
-		fmt.Fprintf(os.Stderr, "c3ibench: %v\n", err)
-		toolErr = true
+		fmt.Fprintf(stderr, "c3ibench: %v\n", err)
+		status = 1
 	}
-	if err := writeStats(*stats); err != nil {
-		fmt.Fprintf(os.Stderr, "c3ibench: %v\n", err)
-		toolErr = true
+	if err := writeStats(*stats, runner.Metrics(), stdout); err != nil {
+		fmt.Fprintf(stderr, "c3ibench: %v\n", err)
+		status = 1
 	}
 	if *jsonOut {
 		// Emit whatever completed even when some experiments failed — the
@@ -227,18 +245,16 @@ func main() {
 		// names the failed experiments explicitly, so a consumer gating on
 		// this artifact (the CI model_s step) can reject an incomplete
 		// sweep instead of silently accepting whatever subset succeeded.
-		if err := writeRecordSet(os.Stdout, recorded, failed); err != nil {
-			fmt.Fprintf(os.Stderr, "c3ibench: encoding records: %v\n", err)
-			os.Exit(1)
+		if err := writeRecordSet(stdout, recorded, failed); err != nil {
+			fmt.Fprintf(stderr, "c3ibench: encoding records: %v\n", err)
+			return 1
 		}
 	}
-	if failures > 0 {
-		fmt.Fprintf(os.Stderr, "c3ibench: %d of %d requested experiments failed\n", failures, len(ids))
-		os.Exit(1)
+	if len(failed) > 0 {
+		fmt.Fprintf(stderr, "c3ibench: %d of %d requested experiments failed\n", len(failed), len(ids))
+		return 1
 	}
-	if toolErr {
-		os.Exit(1)
-	}
+	return status
 }
 
 // startCPUProfile begins CPU profiling into path (no-op for ""), returning
@@ -280,14 +296,14 @@ func writeMemProfile(path string) error {
 	return nil
 }
 
-// writeStats snapshots the shared Runner's metrics registry as JSON to path
-// ("-" = stdout, "" = no-op). With -remote the interesting counters live in
-// the server's /metrics — the local registry only shows zero executions.
-func writeStats(path string) error {
+// writeStats snapshots the sweep's metrics registry as JSON to path ("-" =
+// stdout, "" = no-op). With -remote the interesting counters live in the
+// server's /metrics — the local registry holds only the client's counters.
+func writeStats(path string, reg *obs.Registry, stdout io.Writer) error {
 	if path == "" {
 		return nil
 	}
-	w := os.Stdout
+	w := stdout
 	if path != "-" {
 		f, err := os.Create(path)
 		if err != nil {
@@ -296,7 +312,7 @@ func writeStats(path string) error {
 		defer f.Close()
 		w = f
 	}
-	if err := experiments.Metrics().WriteJSON(w); err != nil {
+	if err := reg.WriteJSON(w); err != nil {
 		return fmt.Errorf("-stats: %w", err)
 	}
 	return nil
@@ -315,20 +331,20 @@ func writeRecordSet(w io.Writer, recorded []run.ExperimentRecords, failed []run.
 
 // printList renders the full registered surface: every workload with its
 // variants and tunable parameters, then every experiment ID in paper order.
-func printList() {
-	fmt.Println("Registered workloads (internal/c3i/suite):")
+func printList(out io.Writer) {
+	fmt.Fprintln(out, "Registered workloads (internal/c3i/suite):")
 	for _, w := range suite.All() {
-		fmt.Printf("  %-20s -scale-%-3s %s (1 = %d %s; default %g)\n",
+		fmt.Fprintf(out, "  %-20s -scale-%-3s %s (1 = %d %s; default %g)\n",
 			w.Name, w.Key, w.Title, w.PaperUnits, w.UnitName, w.DefaultScale)
 		for _, v := range w.Variants {
 			params := "no params"
 			if len(v.Defaults) > 0 {
 				params = "defaults " + v.Defaults.String()
 			}
-			fmt.Printf("    %-12s style=%-10s %s\n", v.Name, v.Style, params)
+			fmt.Fprintf(out, "    %-12s style=%-10s %s\n", v.Name, v.Style, params)
 		}
 		if w.Grid != nil && len(w.Grid.Axes) > 0 {
-			fmt.Printf("    grid (%d points):\n", len(w.Grid.Points()))
+			fmt.Fprintf(out, "    grid (%d points):\n", len(w.Grid.Points()))
 			for _, a := range w.Grid.Axes {
 				vals := make([]string, len(a.Values))
 				for i, v := range a.Values {
@@ -338,14 +354,14 @@ func printList() {
 				if a.Unit != "" {
 					unit = " " + a.Unit
 				}
-				fmt.Printf("      axis %-8s {%s}%s (default %g)\n",
+				fmt.Fprintf(out, "      axis %-8s {%s}%s (default %g)\n",
 					a.Name, strings.Join(vals, ", "), unit, a.Default)
 			}
 		}
 	}
-	fmt.Println()
-	fmt.Println("Experiments (paper order):")
+	fmt.Fprintln(out)
+	fmt.Fprintln(out, "Experiments (paper order):")
 	for _, e := range experiments.All() {
-		fmt.Printf("  %-24s %s\n", e.ID, e.Title)
+		fmt.Fprintf(out, "  %-24s %s\n", e.ID, e.Title)
 	}
 }

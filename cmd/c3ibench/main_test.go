@@ -4,14 +4,13 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"net/http"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
 	_ "repro/internal/experiments" // register the shipped workloads
 	"repro/internal/run"
-	"repro/internal/serve"
 )
 
 func TestWriteRecordSetEnvelope(t *testing.T) {
@@ -122,62 +121,12 @@ func TestGridSweepTableHasAxisColumns(t *testing.T) {
 	}
 }
 
-// admissionExecutor rejects any batch larger than cap with 429 — the shape
-// of a c3iserve pool queue smaller than a whole-grid batch.
-type admissionExecutor struct {
-	cap     int
-	batches []int
-}
-
-func (a *admissionExecutor) RunAll(_ context.Context, specs []run.Spec) ([]run.Record, error) {
-	if len(specs) > a.cap {
-		return nil, &serve.StatusError{Code: http.StatusTooManyRequests,
-			Status: "429 Too Many Requests", Msg: "pool queue is full"}
-	}
-	a.batches = append(a.batches, len(specs))
-	recs := make([]run.Record, len(specs))
-	for i, sp := range specs {
-		recs[i] = run.Record{Key: sp.Key()}
-	}
-	return recs, nil
-}
-
-func TestRunAdmittedShrinksBatchesUntilAdmitted(t *testing.T) {
-	// 81 specs against a server that admits at most 6 at a time: the sweep
-	// must halve 81→41→21→11→6 and then deliver every record, in order.
-	specs := make([]run.Spec, 81)
-	for i := range specs {
-		specs[i] = run.Spec{Workload: "w", Variant: "v", Platform: "alpha",
-			Procs: 1, Scale: float64(i+1) / 100}
-	}
-	ex := &admissionExecutor{cap: 6}
-	recs, err := runAdmitted(ex, specs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(recs) != len(specs) {
-		t.Fatalf("got %d records, want %d", len(recs), len(specs))
-	}
-	for i, rec := range recs {
-		if rec.Key != specs[i].Key() {
-			t.Fatalf("record %d out of order: %q", i, rec.Key)
-		}
-	}
-	for _, n := range ex.batches {
-		if n > ex.cap {
-			t.Errorf("batch of %d exceeded the admitted size %d", n, ex.cap)
-		}
-	}
-
-	// A 429 at chunk size 1 is a real failure, not an admission loop.
-	_, err = runAdmitted(&admissionExecutor{cap: 0}, specs[:2])
-	var se *serve.StatusError
-	if !errors.As(err, &se) {
-		t.Errorf("cap 0: err = %v, want the 429 surfaced", err)
-	}
-}
-
+// failingExecutor fails every batch, as an unreachable fleet does.
 type failingExecutor struct{}
+
+func (failingExecutor) Run(context.Context, run.Spec) (run.Record, error) {
+	return run.Record{}, errors.New("fleet unreachable")
+}
 
 func (failingExecutor) RunAll(context.Context, []run.Spec) ([]run.Record, error) {
 	return nil, errors.New("fleet unreachable")
@@ -234,5 +183,76 @@ func TestWriteRecordSetEmptySweepStaysGateable(t *testing.T) {
 		if string(v) != "[]" {
 			t.Errorf("field %q = %s, want []", field, v)
 		}
+	}
+}
+
+// sweepArgs is a small sweep with an unknown ID in the middle; table7
+// reuses table2's and table5's cells.
+var sweepArgs = []string{"-run", "table1,table2,table5,table7,autopar,no-such-experiment,ro-sequential",
+	"-scale-ta", "0.05", "-scale-ro", "0.05"}
+
+// runC3ibench runs the command in process and returns its exit status,
+// stdout and stderr.
+func runC3ibench(args ...string) (int, string, string) {
+	var stdout, stderr strings.Builder
+	code := c3ibench(args, &stdout, &stderr)
+	return code, stdout.String(), stderr.String()
+}
+
+func TestSweepJobsMatchSerial(t *testing.T) {
+	// Cells run -jobs at a time on the command's own Runner; the rendered
+	// tables and the Records (host time aside) must not depend on it. An
+	// unknown ID is reported in place, the experiments after it still run,
+	// and the exit status is 1.
+	if testing.Short() {
+		t.Skip("runs a sweep four times")
+	}
+	var rendered, records []string
+	for _, jobs := range []string{"1", "4"} {
+		code, out, errOut := runC3ibench(append(sweepArgs, "-jobs", jobs)...)
+		if code != 1 {
+			t.Errorf("-jobs %s: exit status %d, want 1 for the unknown ID", jobs, code)
+		}
+		var order []string
+		for _, line := range strings.Split(errOut, "\n") {
+			if id, ok := strings.CutPrefix(line, "["); ok {
+				order = append(order, strings.Fields(id)[0])
+			} else if strings.Contains(line, "no-such-experiment: ") {
+				order = append(order, "no-such-experiment")
+			}
+		}
+		if want := strings.Split(sweepArgs[1], ","); !slices.Equal(order, want) {
+			t.Errorf("-jobs %s: reported %v, want %v in place", jobs, order, want)
+		}
+		rendered = append(rendered, out)
+
+		code, out, _ = runC3ibench(append(sweepArgs, "-jobs", jobs, "-json")...)
+		if code != 1 {
+			t.Errorf("-jobs %s -json: exit status %d, want 1", jobs, code)
+		}
+		var set run.RecordSet
+		if err := json.Unmarshal([]byte(out), &set); err != nil {
+			t.Fatal(err)
+		}
+		if len(set.Failed) != 1 || set.Failed[0].Experiment != "no-such-experiment" {
+			t.Errorf("-jobs %s: failure manifest %+v", jobs, set.Failed)
+		}
+		for i := range set.Experiments {
+			set.Experiments[i].ElapsedS = 0
+			for j := range set.Experiments[i].Records {
+				set.Experiments[i].Records[j].HostElapsed = 0
+			}
+		}
+		buf, err := json.Marshal(set)
+		if err != nil {
+			t.Fatal(err)
+		}
+		records = append(records, string(buf))
+	}
+	if rendered[0] != rendered[1] {
+		t.Error("-jobs 4 renders differently from -jobs 1")
+	}
+	if records[0] != records[1] {
+		t.Error("-jobs 4 Records differ from -jobs 1")
 	}
 }

@@ -28,11 +28,15 @@ func runAblationStreams(x *Exec) (*Result, error) {
 	}
 	var series report.Series
 	series.Label, series.Marker = "issue utilization", '*'
-	for _, chunks := range []int{1, 2, 4, 8, 16, 21, 32, 64, 96, 128} {
-		rec, err := x.Run(taChunked(x, "tera", 1, chunks))
-		if err != nil {
-			return nil, err
-		}
+	chunkCounts := []int{1, 2, 4, 8, 16, 21, 32, 64, 96, 128}
+	recs, err := x.RunAll(specsOf(chunkCounts, func(chunks int) run.Spec {
+		return taChunked(x, "tera", 1, chunks)
+	}))
+	if err != nil {
+		return nil, err
+	}
+	for i, rec := range recs {
+		chunks := chunkCounts[i]
 		tb.AddRow(chunks, rec.PaperSeconds, fmt.Sprintf("%.1f%%", rec.Stats.ProcUtil[0]*100))
 		series.X = append(series.X, float64(chunks))
 		series.Y = append(series.Y, rec.Stats.ProcUtil[0]*100)
@@ -47,27 +51,17 @@ func runAblationStreams(x *Exec) (*Result, error) {
 // the sequential variants' "pipelined" parameter) versus the calibrated
 // dependence mix.
 func runAblationLatency(x *Exec) (*Result, error) {
-	both := func(pipelined int) (float64, float64, error) {
+	var specs []run.Spec
+	for _, pipelined := range []int{0, 1} {
 		p := suite.Params{"pipelined": pipelined}
-		taSec, err := x.Seconds(x.Spec(TA, "sequential", "tera", 1, p))
-		if err != nil {
-			return 0, 0, err
-		}
-		tmSec, err := x.Seconds(x.Spec(TM, "sequential", "tera", 1, p))
-		if err != nil {
-			return 0, 0, err
-		}
-		return taSec, tmSec, nil
+		specs = append(specs, x.Spec(TA, "sequential", "tera", 1, p), x.Spec(TM, "sequential", "tera", 1, p))
 	}
-
-	taDep, tmDep, err := both(0)
+	recs, err := x.RunAll(specs)
 	if err != nil {
 		return nil, err
 	}
-	taPipe, tmPipe, err := both(1)
-	if err != nil {
-		return nil, err
-	}
+	taDep, tmDep := recs[0].PaperSeconds, recs[1].PaperSeconds
+	taPipe, tmPipe := recs[2].PaperSeconds, recs[3].PaperSeconds
 
 	tb := &report.Table{
 		ID:      "ablation-latency",
@@ -89,12 +83,16 @@ func runAblationLatency(x *Exec) (*Result, error) {
 func runAblationNetwork(x *Exec) (*Result, error) {
 	taParams := suite.Params{"chunks": 256}
 	tmParams := suite.Params{"sectors": tmSectors, "merge": tmMergeChunks}
-
-	base1TA, err := x.Seconds(x.Spec(TA, "coarse", "tera", 1, taParams))
-	if err != nil {
-		return nil, err
+	nets := []struct{ lat, bw float64 }{{1.0, 1.0}, {1.4, 0.8}, {1.8, 0.62}, {2.5, 0.45}}
+	// The one-processor baselines, then each network's two-processor pair.
+	specs := []run.Spec{x.Spec(TA, "coarse", "tera", 1, taParams), x.Spec(TM, "fine", "tera", 1, tmParams)}
+	for _, net := range nets {
+		ta, tm := x.Spec(TA, "coarse", "tera", 2, taParams), x.Spec(TM, "fine", "tera", 2, tmParams)
+		ta.NetLatencyMult, ta.NetBandwidthEff = net.lat, net.bw
+		tm.NetLatencyMult, tm.NetBandwidthEff = net.lat, net.bw
+		specs = append(specs, ta, tm)
 	}
-	base1TM, err := x.Seconds(x.Spec(TM, "fine", "tera", 1, tmParams))
+	recs, err := x.RunAll(specs)
 	if err != nil {
 		return nil, err
 	}
@@ -107,25 +105,11 @@ func runAblationNetwork(x *Exec) (*Result, error) {
 			"paper: \"The less-than-ideal speedup may be a result of the development status of the current Tera MTA network\"; defaults are 1.8/0.62",
 		},
 	}
-	for _, net := range []struct{ lat, bw float64 }{
-		{1.0, 1.0}, {1.4, 0.8}, {1.8, 0.62}, {2.5, 0.45},
-	} {
-		netSpec := func(workload, variant string, params suite.Params) run.Spec {
-			spec := x.Spec(workload, variant, "tera", 2, params)
-			spec.NetLatencyMult, spec.NetBandwidthEff = net.lat, net.bw
-			return spec
-		}
-		taSec, err := x.Seconds(netSpec(TA, "coarse", taParams))
-		if err != nil {
-			return nil, err
-		}
-		tmSec, err := x.Seconds(netSpec(TM, "fine", tmParams))
-		if err != nil {
-			return nil, err
-		}
+	for i, net := range nets {
+		ta, tm := recs[2+2*i], recs[3+2*i]
 		tb.AddRow(net.lat, net.bw,
-			report.FormatSpeedup(base1TA/taSec),
-			report.FormatSpeedup(base1TM/tmSec))
+			report.FormatSpeedup(recs[0].PaperSeconds/ta.PaperSeconds),
+			report.FormatSpeedup(recs[1].PaperSeconds/tm.PaperSeconds))
 	}
 	return &Result{Tables: []*report.Table{tb}}, nil
 }
@@ -140,12 +124,15 @@ func runAblationBlocking(x *Exec) (*Result, error) {
 		Columns: []string{"Blocks per side", "Locks", "Model (s)"},
 		Notes:   []string{fmt.Sprintf("16 workers; scale %g normalized; the paper ran ten-by-ten", x.Cfg.Scale(TM))},
 	}
-	for _, blocks := range []int{1, 2, 4, 10, 20, 40} {
-		sec, err := x.Seconds(tmCoarse(x, "exemplar", 16, 16, blocks))
-		if err != nil {
-			return nil, err
-		}
-		tb.AddRow(blocks, blocks*blocks, sec)
+	blockCounts := []int{1, 2, 4, 10, 20, 40}
+	recs, err := x.RunAll(specsOf(blockCounts, func(blocks int) run.Spec {
+		return tmCoarse(x, "exemplar", 16, 16, blocks)
+	}))
+	if err != nil {
+		return nil, err
+	}
+	for i, blocks := range blockCounts {
+		tb.AddRow(blocks, blocks*blocks, recs[i].PaperSeconds)
 	}
 	return &Result{Tables: []*report.Table{tb}}, nil
 }
@@ -165,40 +152,24 @@ func runAblationFineGrainSMP(x *Exec) (*Result, error) {
 		},
 	}
 
-	// Threat Analysis.
-	coarseEx, err := x.Seconds(taChunked(x, "exemplar", 16, 16))
+	recs, err := x.RunAll([]run.Spec{
+		taChunked(x, "exemplar", 16, 16), taFine(x, "exemplar", 16),
+		taChunked(x, "tera", 1, 256), taFine(x, "tera", 1),
+		tmCoarse(x, "exemplar", 16, 16, tmBlocks), tmFine(x, "exemplar", 16),
+		tmFine(x, "tera", 1),
+	})
 	if err != nil {
 		return nil, err
 	}
-	fineEx, err := x.Seconds(taFine(x, "exemplar", 16))
-	if err != nil {
-		return nil, err
+	sec := func(i int) float64 { return recs[i].PaperSeconds }
+	for i, row := range []struct{ kernel, platform string }{
+		{"Threat Analysis", "Exemplar (16 proc)"},
+		{"Threat Analysis", "Tera MTA (1 proc)"},
+		{"Terrain Masking", "Exemplar (16 proc)"},
+	} {
+		coarse, fine := sec(2*i), sec(2*i+1)
+		tb.AddRow(row.kernel, row.platform, coarse, fine, fmt.Sprintf("%.2f", fine/coarse))
 	}
-	tb.AddRow("Threat Analysis", "Exemplar (16 proc)", coarseEx, fineEx, fmt.Sprintf("%.2f", fineEx/coarseEx))
-	coarseT, err := x.Seconds(taChunked(x, "tera", 1, 256))
-	if err != nil {
-		return nil, err
-	}
-	fineT, err := x.Seconds(taFine(x, "tera", 1))
-	if err != nil {
-		return nil, err
-	}
-	tb.AddRow("Threat Analysis", "Tera MTA (1 proc)", coarseT, fineT, fmt.Sprintf("%.2f", fineT/coarseT))
-
-	// Terrain Masking.
-	coarseTMEx, err := x.Seconds(tmCoarse(x, "exemplar", 16, 16, tmBlocks))
-	if err != nil {
-		return nil, err
-	}
-	fineTMEx, err := x.Seconds(tmFine(x, "exemplar", 16))
-	if err != nil {
-		return nil, err
-	}
-	tb.AddRow("Terrain Masking", "Exemplar (16 proc)", coarseTMEx, fineTMEx, fmt.Sprintf("%.2f", fineTMEx/coarseTMEx))
-	fineTMT, err := x.Seconds(tmFine(x, "tera", 1))
-	if err != nil {
-		return nil, err
-	}
-	tb.AddRow("Terrain Masking", "Tera MTA (1 proc)", "infeasible (memory)", fineTMT, "—")
+	tb.AddRow("Terrain Masking", "Tera MTA (1 proc)", "infeasible (memory)", sec(6), "—")
 	return &Result{Tables: []*report.Table{tb}}, nil
 }

@@ -5,10 +5,10 @@
 // paper's.
 //
 // Experiments are consumers of the internal/run execution API: each table,
-// ablation and projection declares run.Specs (resolved through the
-// internal/c3i/suite registry — experiments never call a workload's solver
-// functions or construct machine engines directly), executes them through
-// the shared run.Runner, and formats the resulting run.Records. The raw
+// ablation and projection declares its cells as run.Specs (resolved through
+// the internal/c3i/suite registry — experiments never call a workload's
+// solver functions or construct machine engines directly), executes them as
+// one batch, and formats the resulting run.Records. The raw
 // records ride along in Result.Records, so every cell of every table is
 // individually addressable, serializable and reproducible from its Spec.
 // Workloads run at a configurable scale (fraction of the paper's unit
@@ -21,9 +21,6 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"strings"
-	"sync"
-	"time"
 
 	_ "repro/internal/c3i/hypothesis" // register the Hypothesis Testing workload
 	_ "repro/internal/c3i/plottrack"  // register the Plot-Track Assignment workload
@@ -31,7 +28,6 @@ import (
 	"repro/internal/c3i/suite"
 	_ "repro/internal/c3i/terrain" // register the Terrain Masking workload
 	_ "repro/internal/c3i/threat"  // register the Threat Analysis workload
-	"repro/internal/obs"
 	"repro/internal/report"
 	"repro/internal/run"
 )
@@ -88,20 +84,19 @@ type Result struct {
 	Figures []*report.Figure
 	Text    string
 	// Records are the run.Records this experiment executed (cache hits
-	// included), in execution order — the machine-readable counterpart of
-	// the tables, and the payload of `c3ibench -json`.
+	// included), in the order its body declared the cells — the
+	// machine-readable counterpart of the tables, and the payload of
+	// `c3ibench -json`.
 	Records []run.Record
 }
 
 // Exec is the context an experiment body runs in: the scale configuration,
-// the cancellation context, and the shared Runner every Spec goes through.
-// It collects each executed Record for the experiment's Result.
+// the cancellation context, and the executor every Spec goes through. It
+// collects each executed Record for the experiment's Result.
 type Exec struct {
-	Cfg    Config
-	ctx    context.Context
-	runner run.Executor
-
-	mu      sync.Mutex
+	Cfg     Config
+	ctx     context.Context
+	runner  run.Executor
 	records []run.Record
 }
 
@@ -118,23 +113,25 @@ func (x *Exec) Spec(workload, variant, platform string, procs int, params suite.
 	}
 }
 
-// Run executes a Spec through the shared Runner and collects its Record.
-func (x *Exec) Run(spec run.Spec) (run.Record, error) {
-	rec, err := x.runner.Run(x.ctx, spec)
+// RunAll executes a body's cells as one batch through the experiment's
+// executor (see run.Batch) and returns their Records in the order given,
+// which is also their order in the experiment's Result.Records.
+func (x *Exec) RunAll(specs []run.Spec) ([]run.Record, error) {
+	recs, err := run.Batch(x.ctx, x.runner, specs)
 	if err != nil {
-		return rec, err
+		return nil, err
 	}
-	x.mu.Lock()
-	x.records = append(x.records, rec)
-	x.mu.Unlock()
-	return rec, nil
+	x.records = append(x.records, recs...)
+	return recs, nil
 }
 
-// Seconds is Run reduced to the paper-scale-normalized seconds most table
-// cells need.
-func (x *Exec) Seconds(spec run.Spec) (float64, error) {
-	rec, err := x.Run(spec)
-	return rec.PaperSeconds, err
+// specsOf declares one cell per element of xs, in order.
+func specsOf[T any](xs []T, spec func(T) run.Spec) []run.Spec {
+	specs := make([]run.Spec, len(xs))
+	for i, v := range xs {
+		specs[i] = spec(v)
+	}
+	return specs
 }
 
 // Experiment is one reproducible unit: a paper table/figure or an ablation.
@@ -144,8 +141,8 @@ type Experiment struct {
 	body  func(x *Exec) (*Result, error)
 }
 
-// Run executes the experiment at the given scales through the package's
-// shared Runner.
+// Run executes the experiment at the given scales through cfg.Executor, or
+// the package's shared Runner when that is nil.
 func (e Experiment) Run(cfg Config) (*Result, error) {
 	return e.RunContext(context.Background(), cfg)
 }
@@ -218,84 +215,9 @@ func IDs() []string {
 	return out
 }
 
-// Outcome is one experiment's result from a RunMany batch.
-type Outcome struct {
-	Experiment Experiment
-	Result     *Result
-	Err        error
-	Elapsed    time.Duration
-}
-
-// RunMany runs the experiments with the given IDs through a pool of jobs
-// workers (jobs ≤ 1 means serial) and returns outcomes in the requested
-// order regardless of completion order, so parallel sweeps report exactly
-// like serial ones. The shared Runner's caches are single-flight, so cells
-// reused across experiments (e.g. the summary tables) are computed once even
-// when the experiments needing them run concurrently. Unknown IDs yield an
-// Outcome with Err set; the remaining experiments still run.
-func RunMany(ids []string, cfg Config, jobs int) []Outcome {
-	return RunEach(ids, cfg, jobs, nil)
-}
-
-// RunEach is RunMany with streaming: emit (if non-nil) is called once per
-// outcome, in request order, as soon as that outcome and all its
-// predecessors have completed — a serial run therefore reports each
-// experiment the moment it finishes, exactly like a plain loop, while a
-// parallel run still prints deterministically.
-func RunEach(ids []string, cfg Config, jobs int, emit func(Outcome)) []Outcome {
-	out := make([]Outcome, len(ids))
-	ready := make([]chan struct{}, len(ids))
-	for i := range ready {
-		ready[i] = make(chan struct{})
-	}
-	if jobs < 1 {
-		jobs = 1
-	}
-	if jobs > len(ids) {
-		jobs = len(ids)
-	}
-	work := make(chan int)
-	var wg sync.WaitGroup
-	for j := 0; j < jobs; j++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range work {
-				out[i] = runExperiment(ids[i], cfg)
-				close(ready[i])
-			}
-		}()
-	}
-	go func() {
-		for i := range ids {
-			work <- i
-		}
-		close(work)
-	}()
-	for i := range ids {
-		<-ready[i]
-		if emit != nil {
-			emit(out[i])
-		}
-	}
-	wg.Wait()
-	return out
-}
-
-// runExperiment resolves and runs one experiment ID.
-func runExperiment(id string, cfg Config) Outcome {
-	id = strings.TrimSpace(id)
-	e, err := Get(id)
-	if err != nil {
-		return Outcome{Experiment: Experiment{ID: id}, Err: err}
-	}
-	start := time.Now() //c3ivet:ignore determinism host-elapsed bookkeeping; model output comes from e.Run
-	res, err := e.Run(cfg)
-	return Outcome{Experiment: e, Result: res, Err: err, Elapsed: time.Since(start)} //c3ivet:ignore determinism Elapsed is host wall-clock, never part of the model artifact
-}
-
-// sharedRunner executes every experiment Spec; its suite and Record caches
-// are what make concurrent RunMany sweeps compute shared cells once.
+// sharedRunner executes every experiment Spec when Config.Executor is nil,
+// running each body's cells GOMAXPROCS at a time; its single-flight caches
+// compute a cell that several experiments share once.
 var sharedRunner = run.NewRunner(0)
 
 // mustWorkload returns a registered workload. The workload names here are
@@ -326,13 +248,4 @@ func coarseOverheadFullScaleGB(workload string, workers int) float64 {
 // and measurement).
 func ResetCaches() {
 	sharedRunner.Reset()
-}
-
-// Metrics exposes the shared Runner's metrics registry — per-workload
-// execution latency histograms and cache/store counters accumulated across
-// every experiment run in this process. `c3ibench -stats` snapshots it after
-// a sweep. Note that Reset/ResetCaches does not zero metrics: they count the
-// process's whole history, which is exactly what a post-sweep snapshot wants.
-func Metrics() *obs.Registry {
-	return sharedRunner.Metrics()
 }

@@ -4,9 +4,14 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"os"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
+	"repro/internal/machine"
 	"repro/internal/run"
 )
 
@@ -22,24 +27,22 @@ var testCfg = Config{Scales: map[string]float64{TA: 0.1, TM: 0.1, RO: 0.05, PT: 
 // tests exactly as production consumers overlap.
 var testX = &Exec{Cfg: testCfg, ctx: context.Background(), runner: sharedRunner}
 
+// sec runs one cell through x and returns its paper-scale seconds.
+func sec(t *testing.T, x *Exec, spec run.Spec) float64 {
+	t.Helper()
+	recs, err := x.RunAll([]run.Spec{spec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return recs[0].PaperSeconds
+}
+
 func TestSequentialTAOrdering(t *testing.T) {
 	// Paper Table 2: Alpha < Exemplar < Pentium Pro ≪ Tera.
-	alpha, err := testX.Seconds(taSeq(testX, "alpha", 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ppro, err := testX.Seconds(taSeq(testX, "ppro", 4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	exem, err := testX.Seconds(taSeq(testX, "exemplar", 16))
-	if err != nil {
-		t.Fatal(err)
-	}
-	tera, err := testX.Seconds(taSeq(testX, "tera", 1))
-	if err != nil {
-		t.Fatal(err)
-	}
+	alpha := sec(t, testX, taSeq(testX, "alpha", 1))
+	ppro := sec(t, testX, taSeq(testX, "ppro", 4))
+	exem := sec(t, testX, taSeq(testX, "exemplar", 16))
+	tera := sec(t, testX, taSeq(testX, "tera", 1))
 	if !(alpha < exem && exem < ppro && ppro < tera) {
 		t.Errorf("ordering wrong: alpha=%.0f exemplar=%.0f ppro=%.0f tera=%.0f", alpha, exem, ppro, tera)
 	}
@@ -50,14 +53,8 @@ func TestSequentialTAOrdering(t *testing.T) {
 
 func TestTAExemplarScalesNearLinearly(t *testing.T) {
 	// Paper Table 4: 15.4-fold speedup on 16 processors.
-	seq, err := testX.Seconds(taSeq(testX, "exemplar", 16))
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := testX.Seconds(taChunked(testX, "exemplar", 16, 16))
-	if err != nil {
-		t.Fatal(err)
-	}
+	seq := sec(t, testX, taSeq(testX, "exemplar", 16))
+	par := sec(t, testX, taChunked(testX, "exemplar", 16, 16))
 	if s := seq / par; s < 11 || s > 16.5 {
 		t.Errorf("16-proc speedup = %.1f, want ≈ 14-15.5", s)
 	}
@@ -68,10 +65,7 @@ func TestTATeraChunkSweepShape(t *testing.T) {
 	var prev float64
 	times := map[int]float64{}
 	for _, chunks := range []int{8, 16, 32, 64, 128, 256} {
-		sec, err := testX.Seconds(taChunked(testX, "tera", 2, chunks))
-		if err != nil {
-			t.Fatal(err)
-		}
+		sec := sec(t, testX, taChunked(testX, "tera", 2, chunks))
 		times[chunks] = sec
 		if prev > 0 && sec > prev*1.08 {
 			t.Errorf("chunk sweep not non-increasing: %d chunks %.1f s after %.1f s", chunks, sec, prev)
@@ -89,14 +83,8 @@ func TestTATeraChunkSweepShape(t *testing.T) {
 func TestTATeraMultithreadedVsSequential(t *testing.T) {
 	// Paper: "The multithreaded program runs dramatically faster (32 times
 	// faster on one processor) than the sequential program on the Tera MTA."
-	seq, err := testX.Seconds(taSeq(testX, "tera", 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := testX.Seconds(taChunked(testX, "tera", 1, 256))
-	if err != nil {
-		t.Fatal(err)
-	}
+	seq := sec(t, testX, taSeq(testX, "tera", 1))
+	par := sec(t, testX, taChunked(testX, "tera", 1, 256))
 	if f := seq / par; f < 20 || f > 40 {
 		t.Errorf("tera multithreaded speedup = %.1f, want ≈ 30", f)
 	}
@@ -104,14 +92,8 @@ func TestTATeraMultithreadedVsSequential(t *testing.T) {
 
 func TestTATeraTwoProcSpeedup(t *testing.T) {
 	// Paper Table 5: 1.8 on two processors.
-	one, err := testX.Seconds(taChunked(testX, "tera", 1, 256))
-	if err != nil {
-		t.Fatal(err)
-	}
-	two, err := testX.Seconds(taChunked(testX, "tera", 2, 256))
-	if err != nil {
-		t.Fatal(err)
-	}
+	one := sec(t, testX, taChunked(testX, "tera", 1, 256))
+	two := sec(t, testX, taChunked(testX, "tera", 2, 256))
 	if s := one / two; s < 1.5 || s > 2.05 {
 		t.Errorf("2-proc speedup = %.2f, want ≈ 1.8", s)
 	}
@@ -119,27 +101,15 @@ func TestTATeraTwoProcSpeedup(t *testing.T) {
 
 func TestSequentialTMOrderingAndRatios(t *testing.T) {
 	// Paper Table 8: Alpha < PPro < Exemplar ≪ Tera; Tera ≈ 6x Alpha.
-	alpha, err := testX.Seconds(tmSeq(testX, "alpha", 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	tera, err := testX.Seconds(tmSeq(testX, "tera", 1))
-	if err != nil {
-		t.Fatal(err)
-	}
+	alpha := sec(t, testX, tmSeq(testX, "alpha", 1))
+	tera := sec(t, testX, tmSeq(testX, "tera", 1))
 	if r := tera / alpha; r < 4.5 || r > 9 {
 		t.Errorf("tera/alpha = %.1f, want ≈ 6 (memory-bound: smaller gap than TA)", r)
 	}
 	// The key contrast with TA: the Tera penalty is much smaller for the
 	// memory-bound program.
-	taAlpha, err := testX.Seconds(taSeq(testX, "alpha", 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	taTera, err := testX.Seconds(taSeq(testX, "tera", 1))
-	if err != nil {
-		t.Fatal(err)
-	}
+	taAlpha := sec(t, testX, taSeq(testX, "alpha", 1))
+	taTera := sec(t, testX, taSeq(testX, "tera", 1))
 	if (tera / alpha) >= (taTera / taAlpha) {
 		t.Errorf("TM tera ratio %.1f not smaller than TA ratio %.1f", tera/alpha, taTera/taAlpha)
 	}
@@ -147,14 +117,8 @@ func TestSequentialTMOrderingAndRatios(t *testing.T) {
 
 func TestTMPentiumProSaturates(t *testing.T) {
 	// Paper Table 9: three-fold speedup on four processors (memory-bound).
-	seq, err := testX.Seconds(tmSeq(testX, "ppro", 4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := testX.Seconds(tmCoarse(testX, "ppro", 4, 4, tmBlocks))
-	if err != nil {
-		t.Fatal(err)
-	}
+	seq := sec(t, testX, tmSeq(testX, "ppro", 4))
+	par := sec(t, testX, tmCoarse(testX, "ppro", 4, 4, tmBlocks))
 	if s := seq / par; s < 2.2 || s > 3.8 {
 		t.Errorf("PPro 4-proc TM speedup = %.1f, want ≈ 3 (bus saturation)", s)
 	}
@@ -162,14 +126,8 @@ func TestTMPentiumProSaturates(t *testing.T) {
 
 func TestTMExemplarPlateaus(t *testing.T) {
 	// Paper Table 10: speedup plateaus around 6-7 well below 16.
-	seq, err := testX.Seconds(tmSeq(testX, "exemplar", 16))
-	if err != nil {
-		t.Fatal(err)
-	}
-	par16, err := testX.Seconds(tmCoarse(testX, "exemplar", 16, 16, tmBlocks))
-	if err != nil {
-		t.Fatal(err)
-	}
+	seq := sec(t, testX, tmSeq(testX, "exemplar", 16))
+	par16 := sec(t, testX, tmCoarse(testX, "exemplar", 16, 16, tmBlocks))
 	if s := seq / par16; s < 4.5 || s > 10 {
 		t.Errorf("Exemplar 16-proc TM speedup = %.1f, want ≈ 6-8 (plateau)", s)
 	}
@@ -177,18 +135,9 @@ func TestTMExemplarPlateaus(t *testing.T) {
 
 func TestTMTeraFine(t *testing.T) {
 	// Paper Table 11 + §6: ~20x over Tera sequential; 1.4 on two processors.
-	seq, err := testX.Seconds(tmSeq(testX, "tera", 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	one, err := testX.Seconds(tmFine(testX, "tera", 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	two, err := testX.Seconds(tmFine(testX, "tera", 2))
-	if err != nil {
-		t.Fatal(err)
-	}
+	seq := sec(t, testX, tmSeq(testX, "tera", 1))
+	one := sec(t, testX, tmFine(testX, "tera", 1))
+	two := sec(t, testX, tmFine(testX, "tera", 2))
 	if f := seq / one; f < 15 || f > 35 {
 		t.Errorf("fine-grained vs sequential = %.1fx, want ≈ 20x", f)
 	}
@@ -200,25 +149,13 @@ func TestTMTeraFine(t *testing.T) {
 func TestTeraBeatsAlphaWhenMultithreaded(t *testing.T) {
 	// Paper §7: one MTA processor multithreaded is 2-3.5x faster than the
 	// Alpha for these codes.
-	taAlpha, err := testX.Seconds(taSeq(testX, "alpha", 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	taTera, err := testX.Seconds(taChunked(testX, "tera", 1, 256))
-	if err != nil {
-		t.Fatal(err)
-	}
+	taAlpha := sec(t, testX, taSeq(testX, "alpha", 1))
+	taTera := sec(t, testX, taChunked(testX, "tera", 1, 256))
 	if r := taAlpha / taTera; r < 1.5 || r > 4 {
 		t.Errorf("TA: alpha/tera-1proc = %.2f, want ≈ 2.3", r)
 	}
-	tmAlpha, err := testX.Seconds(tmSeq(testX, "alpha", 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	tmTera, err := testX.Seconds(tmFine(testX, "tera", 1))
-	if err != nil {
-		t.Fatal(err)
-	}
+	tmAlpha := sec(t, testX, tmSeq(testX, "alpha", 1))
+	tmTera := sec(t, testX, tmFine(testX, "tera", 1))
 	if r := tmAlpha / tmTera; r < 1.8 || r > 5 {
 		t.Errorf("TM: alpha/tera-1proc = %.2f, want ≈ 3.3", r)
 	}
@@ -227,14 +164,8 @@ func TestTeraBeatsAlphaWhenMultithreaded(t *testing.T) {
 func TestTeraOneProcEquivalentToFourExemplar(t *testing.T) {
 	// Paper §5: "the performance of one 255 MHz Tera MTA processor is
 	// approximately equivalent to four 180 MHz Exemplar processors."
-	tera, err := testX.Seconds(taChunked(testX, "tera", 1, 256))
-	if err != nil {
-		t.Fatal(err)
-	}
-	exem4, err := testX.Seconds(taChunked(testX, "exemplar", 4, 4))
-	if err != nil {
-		t.Fatal(err)
-	}
+	tera := sec(t, testX, taChunked(testX, "tera", 1, 256))
+	exem4 := sec(t, testX, taChunked(testX, "exemplar", 4, 4))
 	if r := tera / exem4; r < 0.6 || r > 1.6 {
 		t.Errorf("tera-1proc / exemplar-4proc = %.2f, want ≈ 1", r)
 	}
@@ -355,14 +286,8 @@ func TestAutoparExperimentVerdicts(t *testing.T) {
 func TestFineGrainedStylePracticalOnlyOnMTA(t *testing.T) {
 	// Ablation: fine-grained TM should be much worse than coarse on the
 	// Exemplar, while on the MTA fine-grained is the practical approach.
-	coarse, err := testX.Seconds(tmCoarse(testX, "exemplar", 16, 16, tmBlocks))
-	if err != nil {
-		t.Fatal(err)
-	}
-	fine, err := testX.Seconds(tmFine(testX, "exemplar", 16))
-	if err != nil {
-		t.Fatal(err)
-	}
+	coarse := sec(t, testX, tmCoarse(testX, "exemplar", 16, 16, tmBlocks))
+	fine := sec(t, testX, tmFine(testX, "exemplar", 16))
 	if fine < coarse*1.5 {
 		t.Errorf("fine (%.1f) vs coarse (%.1f) on Exemplar: want ≥ 1.5x worse", fine, coarse)
 	}
@@ -373,14 +298,8 @@ func TestRouteSequentialOrdering(t *testing.T) {
 	// free under a cache that holds the distance array and expose the full
 	// memory latency on the cache-less MTA, so the sequential gap is at
 	// least as dramatic as Threat Analysis's.
-	alpha, err := testX.Seconds(extSeq(testX, RO, "alpha", 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	tera, err := testX.Seconds(extSeq(testX, RO, "tera", 1))
-	if err != nil {
-		t.Fatal(err)
-	}
+	alpha := sec(t, testX, extSeq(testX, RO, "alpha", 1))
+	tera := sec(t, testX, extSeq(testX, RO, "tera", 1))
 	if r := tera / alpha; r < 10 || r > 40 {
 		t.Errorf("tera/alpha = %.1f, want 10-40 (pointer-chasing exposes full latency)", r)
 	}
@@ -390,31 +309,16 @@ func TestRouteMTAScalesWhileSMPsSaturate(t *testing.T) {
 	// The acceptance shape for the third workload: the MTA's fine-grained
 	// variant keeps scaling with streams, while the cached SMPs saturate at
 	// their processor counts and memory systems, then degrade.
-	fine1, err := testX.Seconds(extFine(testX, RO, "tera", 1, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	fine128, err := testX.Seconds(extFine(testX, RO, "tera", 1, 128))
-	if err != nil {
-		t.Fatal(err)
-	}
+	fine1 := sec(t, testX, extFine(testX, RO, "tera", 1, 1))
+	fine128 := sec(t, testX, extFine(testX, RO, "tera", 1, 128))
 	mtaSpeedup := fine1 / fine128
 	if mtaSpeedup < 8 {
 		t.Errorf("MTA fine-grained speedup at 128 threads = %.1f, want ≥ 8", mtaSpeedup)
 	}
 
-	ex1, err := testX.Seconds(extCoarse(testX, RO, "exemplar", 16, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ex16, err := testX.Seconds(extCoarse(testX, RO, "exemplar", 16, 16))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ex128, err := testX.Seconds(extCoarse(testX, RO, "exemplar", 16, 128))
-	if err != nil {
-		t.Fatal(err)
-	}
+	ex1 := sec(t, testX, extCoarse(testX, RO, "exemplar", 16, 1))
+	ex16 := sec(t, testX, extCoarse(testX, RO, "exemplar", 16, 16))
+	ex128 := sec(t, testX, extCoarse(testX, RO, "exemplar", 16, 128))
 	if ex16 >= ex1 {
 		t.Errorf("Exemplar coarse did not speed up at all: %.1f s at 16 workers vs %.1f s at 1", ex16, ex1)
 	}
@@ -425,14 +329,8 @@ func TestRouteMTAScalesWhileSMPsSaturate(t *testing.T) {
 		t.Errorf("Exemplar kept scaling past saturation: %.1f s at 128 workers vs %.1f s at 16", ex128, ex16)
 	}
 
-	pp1, err := testX.Seconds(extCoarse(testX, RO, "ppro", 4, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	pp4, err := testX.Seconds(extCoarse(testX, RO, "ppro", 4, 4))
-	if err != nil {
-		t.Fatal(err)
-	}
+	pp1 := sec(t, testX, extCoarse(testX, RO, "ppro", 4, 1))
+	pp4 := sec(t, testX, extCoarse(testX, RO, "ppro", 4, 4))
 	if s := pp1 / pp4; s < 1.3 || s > 4.2 {
 		t.Errorf("PPro 4-worker speedup = %.1f, want modest (bus-bound)", s)
 	}
@@ -441,14 +339,8 @@ func TestRouteMTAScalesWhileSMPsSaturate(t *testing.T) {
 func TestRouteFineGrainedImpracticalOnSMP(t *testing.T) {
 	// The Tera style (a crowd of threads per wavefront, per-word sync) must
 	// be far worse than the coarse crew on a conventional SMP.
-	coarse, err := testX.Seconds(extCoarse(testX, RO, "exemplar", 16, 16))
-	if err != nil {
-		t.Fatal(err)
-	}
-	fine, err := testX.Seconds(extFine(testX, RO, "exemplar", 16, fineCompare))
-	if err != nil {
-		t.Fatal(err)
-	}
+	coarse := sec(t, testX, extCoarse(testX, RO, "exemplar", 16, 16))
+	fine := sec(t, testX, extFine(testX, RO, "exemplar", 16, fineCompare))
 	if fine < coarse*1.5 {
 		t.Errorf("fine (%.1f) vs coarse (%.1f) on Exemplar: want ≥ 1.5x worse", fine, coarse)
 	}
@@ -458,14 +350,8 @@ func TestPlotSequentialOrdering(t *testing.T) {
 	// The suite's synchronization-heavy workload: the bid loop's price
 	// chasing is dependent-load bound, so the cache-less MTA pays a
 	// dramatic sequential penalty, like the other workloads.
-	alpha, err := testX.Seconds(extSeq(testX, PT, "alpha", 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	tera, err := testX.Seconds(extSeq(testX, PT, "tera", 1))
-	if err != nil {
-		t.Fatal(err)
-	}
+	alpha := sec(t, testX, extSeq(testX, PT, "alpha", 1))
+	tera := sec(t, testX, extSeq(testX, PT, "tera", 1))
 	if r := tera / alpha; r < 6 || r > 30 {
 		t.Errorf("tera/alpha = %.1f, want 6-30 (price chasing exposes full latency)", r)
 	}
@@ -475,31 +361,16 @@ func TestPlotMTAScalesWhileSMPsSaturate(t *testing.T) {
 	// The acceptance shape for the fourth workload: the MTA's asynchronous
 	// auction keeps scaling with streams, while the cached SMPs saturate at
 	// their processor counts and lock traffic, then degrade.
-	fine1, err := testX.Seconds(extFine(testX, PT, "tera", 1, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	fine128, err := testX.Seconds(extFine(testX, PT, "tera", 1, 128))
-	if err != nil {
-		t.Fatal(err)
-	}
+	fine1 := sec(t, testX, extFine(testX, PT, "tera", 1, 1))
+	fine128 := sec(t, testX, extFine(testX, PT, "tera", 1, 128))
 	mtaSpeedup := fine1 / fine128
 	if mtaSpeedup < 8 {
 		t.Errorf("MTA fine-grained speedup at 128 threads = %.1f, want ≥ 8", mtaSpeedup)
 	}
 
-	ex1, err := testX.Seconds(extCoarse(testX, PT, "exemplar", 16, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	exBest, err := testX.Seconds(extCoarse(testX, PT, "exemplar", 16, 4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ex128, err := testX.Seconds(extCoarse(testX, PT, "exemplar", 16, 128))
-	if err != nil {
-		t.Fatal(err)
-	}
+	ex1 := sec(t, testX, extCoarse(testX, PT, "exemplar", 16, 1))
+	exBest := sec(t, testX, extCoarse(testX, PT, "exemplar", 16, 4))
+	ex128 := sec(t, testX, extCoarse(testX, PT, "exemplar", 16, 128))
 	if exBest >= ex1 {
 		t.Errorf("Exemplar coarse did not speed up at all: %.1f s at 4 workers vs %.1f s at 1", exBest, ex1)
 	}
@@ -514,14 +385,8 @@ func TestPlotMTAScalesWhileSMPsSaturate(t *testing.T) {
 func TestPlotFineGrainedImpracticalOnSMP(t *testing.T) {
 	// The Tera style (a crowd of bid threads per frame, full/empty commits)
 	// must be far worse than the coarse crew on a conventional SMP.
-	coarse, err := testX.Seconds(extCoarse(testX, PT, "exemplar", 16, 16))
-	if err != nil {
-		t.Fatal(err)
-	}
-	fine, err := testX.Seconds(extFine(testX, PT, "exemplar", 16, fineCompare))
-	if err != nil {
-		t.Fatal(err)
-	}
+	coarse := sec(t, testX, extCoarse(testX, PT, "exemplar", 16, 16))
+	fine := sec(t, testX, extFine(testX, PT, "exemplar", 16, fineCompare))
 	if fine < coarse*1.5 {
 		t.Errorf("fine (%.1f) vs coarse (%.1f) on Exemplar: want ≥ 1.5x worse", fine, coarse)
 	}
@@ -555,14 +420,8 @@ func TestHypoSequentialOrdering(t *testing.T) {
 	// The suite's reduction-heavy workload: the scoring loop's evidence
 	// commits are scattered read-modify-writes, so the cache-less MTA pays a
 	// substantial sequential penalty, like the other workloads.
-	alpha, err := testX.Seconds(extSeq(testX, HT, "alpha", 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	tera, err := testX.Seconds(extSeq(testX, HT, "tera", 1))
-	if err != nil {
-		t.Fatal(err)
-	}
+	alpha := sec(t, testX, extSeq(testX, HT, "alpha", 1))
+	tera := sec(t, testX, extSeq(testX, HT, "tera", 1))
 	if r := tera / alpha; r < 4 || r > 30 {
 		t.Errorf("tera/alpha = %.1f, want 4-30 (scatter-adds expose full latency)", r)
 	}
@@ -575,36 +434,21 @@ func TestHypoMTAScalesWhileSMPsSaturate(t *testing.T) {
 	// workers partial-buffer traffic) swamps the small reduction almost
 	// immediately. Run at full scale so the SMP crew has its best case.
 	big := &Exec{Cfg: Config{Scales: map[string]float64{HT: 1}}, ctx: context.Background(), runner: sharedRunner}
-	fine1, err := big.Seconds(extFine(big, HT, "tera", 1, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	fine128, err := big.Seconds(extFine(big, HT, "tera", 1, 128))
-	if err != nil {
-		t.Fatal(err)
-	}
+	fine1 := sec(t, big, extFine(big, HT, "tera", 1, 1))
+	fine128 := sec(t, big, extFine(big, HT, "tera", 1, 128))
 	mtaSpeedup := fine1 / fine128
 	if mtaSpeedup < 8 {
 		t.Errorf("MTA fine-grained speedup at 128 threads = %.1f, want ≥ 8", mtaSpeedup)
 	}
-	ex1, err := big.Seconds(extCoarse(big, HT, "exemplar", 16, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
+	ex1 := sec(t, big, extCoarse(big, HT, "exemplar", 16, 1))
 	exBest := ex1
 	for _, w := range []int{2, 4, 8} {
-		s, err := big.Seconds(extCoarse(big, HT, "exemplar", 16, w))
-		if err != nil {
-			t.Fatal(err)
-		}
+		s := sec(t, big, extCoarse(big, HT, "exemplar", 16, w))
 		if s < exBest {
 			exBest = s
 		}
 	}
-	ex16, err := big.Seconds(extCoarse(big, HT, "exemplar", 16, 16))
-	if err != nil {
-		t.Fatal(err)
-	}
+	ex16 := sec(t, big, extCoarse(big, HT, "exemplar", 16, 16))
 	if exBest >= ex1 {
 		t.Errorf("Exemplar coarse never beat one worker: best %.2f s vs %.2f s", exBest, ex1)
 	}
@@ -619,14 +463,8 @@ func TestHypoMTAScalesWhileSMPsSaturate(t *testing.T) {
 func TestHypoFineGrainedImpracticalOnSMP(t *testing.T) {
 	// The Tera style (a thread per observation, full/empty evidence commits)
 	// must be clearly worse than the coarse crew on a conventional SMP.
-	coarse, err := testX.Seconds(extCoarse(testX, HT, "exemplar", 16, 16))
-	if err != nil {
-		t.Fatal(err)
-	}
-	fine, err := testX.Seconds(extFine(testX, HT, "exemplar", 16, fineCompare))
-	if err != nil {
-		t.Fatal(err)
-	}
+	coarse := sec(t, testX, extCoarse(testX, HT, "exemplar", 16, 16))
+	fine := sec(t, testX, extFine(testX, HT, "exemplar", 16, fineCompare))
 	if fine < coarse*1.5 {
 		t.Errorf("fine (%.1f) vs coarse (%.1f) on Exemplar: want ≥ 1.5x worse", fine, coarse)
 	}
@@ -694,63 +532,121 @@ func render(res *Result) string {
 	return sb.String()
 }
 
-func TestRunManyParallelMatchesSerial(t *testing.T) {
-	// The acceptance property for the parallel runner: a -jobs 4 sweep must
-	// reproduce exactly the serial run's tables and figures, in order, with
-	// unknown IDs reported in place rather than aborting the sweep.
-	ids := []string{"table1", "table2", "table5", "autopar", "no-such-experiment", "ro-sequential"}
-	var streamed []string
-	serial := RunEach(ids, testCfg, 1, func(oc Outcome) {
-		streamed = append(streamed, oc.Experiment.ID)
-	})
-	ResetCaches()
-	parallel := RunMany(ids, testCfg, 4)
-	if len(streamed) != len(ids) {
-		t.Fatalf("emit called %d times, want %d", len(streamed), len(ids))
+// fakeRecord is a synthetic Record for spec: enough for every body to
+// render, without running an engine.
+func fakeRecord(spec run.Spec) run.Record {
+	return run.Record{Spec: spec, Key: spec.Key(), ModelSeconds: 1, PaperSeconds: 1,
+		Stats: machine.Stats{ProcUtil: []float64{1}}}
+}
+
+// serialExecutor is a Run-only executor, like perfbench's cell timer. It
+// records every Run's key and the most Runs it ever saw at once.
+type serialExecutor struct {
+	mu       sync.Mutex
+	keys     []string
+	inflight int
+	maxAtOne int
+}
+
+func (s *serialExecutor) Run(_ context.Context, spec run.Spec) (run.Record, error) {
+	s.mu.Lock()
+	s.inflight++
+	s.maxAtOne = max(s.maxAtOne, s.inflight)
+	s.keys = append(s.keys, spec.Key())
+	s.mu.Unlock()
+	time.Sleep(time.Microsecond) // widen the window a second concurrent Run would land in
+	s.mu.Lock()
+	s.inflight--
+	s.mu.Unlock()
+	return fakeRecord(spec), nil
+}
+
+// batchCounter counts the Run and RunAll calls it receives.
+type batchCounter struct{ runs, batches int }
+
+func (b *batchCounter) Run(_ context.Context, spec run.Spec) (run.Record, error) {
+	b.runs++
+	return fakeRecord(spec), nil
+}
+
+func (b *batchCounter) RunAll(_ context.Context, specs []run.Spec) ([]run.Record, error) {
+	b.batches++
+	recs := make([]run.Record, len(specs))
+	for i, spec := range specs {
+		recs[i] = fakeRecord(spec)
 	}
-	for i, id := range ids {
-		if streamed[i] != id {
-			t.Errorf("streamed[%d] = %q, want %q", i, streamed[i], id)
+	return recs, nil
+}
+
+// goldenKeys reads each experiment's Record keys, in order, from the
+// committed golden set.
+func goldenKeys(t *testing.T) map[string][]string {
+	t.Helper()
+	buf, err := os.ReadFile(goldenPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var golden map[string][]goldenRecord
+	if err := json.Unmarshal(buf, &golden); err != nil {
+		t.Fatal(err)
+	}
+	keys := map[string][]string{}
+	for id, recs := range golden {
+		for _, r := range recs {
+			keys[id] = append(keys[id], r.Key)
 		}
 	}
-	if len(serial) != len(ids) || len(parallel) != len(ids) {
-		t.Fatalf("outcome counts: serial %d, parallel %d, want %d", len(serial), len(parallel), len(ids))
-	}
-	for i, id := range ids {
-		s, p := serial[i], parallel[i]
-		if s.Experiment.ID != id || p.Experiment.ID != id {
-			t.Errorf("outcome %d out of order: serial %q, parallel %q, want %q",
-				i, s.Experiment.ID, p.Experiment.ID, id)
+	return keys
+}
+
+func TestRunOnlyExecutorSeesCellsSeriallyInOrder(t *testing.T) {
+	// A Run-only executor gets one Run per cell, never two at once, in the
+	// order the body declares its cells, which is the golden set's order;
+	// Result.Records follows the same order. perfbench's paper-* workloads
+	// time cells through such an executor and rely on this call sequence.
+	want := goldenKeys(t)
+	for _, e := range All() {
+		ex := &serialExecutor{}
+		res, err := e.Run(Config{Scales: testCfg.Scales, Executor: ex})
+		if err != nil {
+			t.Fatalf("%s: %v", e.ID, err)
 		}
-		if id == "no-such-experiment" {
-			if s.Err == nil || p.Err == nil {
-				t.Errorf("unknown id %q did not error (serial %v, parallel %v)", id, s.Err, p.Err)
-			}
-			continue
+		if ex.maxAtOne > 1 {
+			t.Errorf("%s: %d Runs at once, want 1", e.ID, ex.maxAtOne)
 		}
-		if s.Err != nil || p.Err != nil {
-			t.Fatalf("%s failed: serial %v, parallel %v", id, s.Err, p.Err)
+		if !slices.Equal(ex.keys, want[e.ID]) {
+			t.Errorf("%s: Run calls %v, want the golden order %v", e.ID, ex.keys, want[e.ID])
 		}
-		if render(s.Result) != render(p.Result) {
-			t.Errorf("%s: parallel output differs from serial", id)
+		var got []string
+		for _, rec := range res.Records {
+			got = append(got, rec.Key)
+		}
+		if !slices.Equal(got, ex.keys) {
+			t.Errorf("%s: Result.Records %v, want the call order %v", e.ID, got, ex.keys)
 		}
 	}
 }
 
-func TestRunManyConcurrentSweep(t *testing.T) {
-	// Experiments that share summary cells run concurrently against the
-	// single-flight caches; every table must still materialize.
-	if testing.Short() {
-		t.Skip("concurrent sweep is slow")
-	}
-	ResetCaches()
-	ids := []string{"table2", "table5", "table6", "table7", "ablation-streams"}
-	for _, oc := range RunMany(ids, testCfg, len(ids)) {
-		if oc.Err != nil {
-			t.Fatalf("%s: %v", oc.Experiment.ID, oc.Err)
+func TestBatchExecutorSeesOneRunAllPerExperiment(t *testing.T) {
+	// An executor that runs batches gets each experiment's cells in one
+	// RunAll call (none for an experiment without cells) and no Run calls.
+	want := goldenKeys(t)
+	for _, e := range All() {
+		ex := &batchCounter{}
+		res, err := e.Run(Config{Scales: testCfg.Scales, Executor: ex})
+		if err != nil {
+			t.Fatalf("%s: %v", e.ID, err)
 		}
-		if len(oc.Result.Tables) == 0 || len(oc.Result.Tables[0].Rows) == 0 {
-			t.Errorf("%s: empty result", oc.Experiment.ID)
+		wantBatches := 0
+		if len(want[e.ID]) > 0 {
+			wantBatches = 1
+		}
+		if ex.batches != wantBatches || ex.runs != 0 {
+			t.Errorf("%s: %d RunAll and %d Run calls, want %d RunAll and no Run",
+				e.ID, ex.batches, ex.runs, wantBatches)
+		}
+		if len(res.Records) != len(want[e.ID]) {
+			t.Errorf("%s: %d Records, want %d", e.ID, len(res.Records), len(want[e.ID]))
 		}
 	}
 }

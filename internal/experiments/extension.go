@@ -97,15 +97,13 @@ func (e extension) sequential(x *Exec) (*Result, error) {
 				x.Cfg.Scale(e.workload), w.PaperUnits, w.UnitName),
 		},
 	}
-	var alpha float64
-	for _, p := range seqPlatforms {
-		sec, err := x.Seconds(extSeq(x, e.workload, p.key, p.procs))
-		if err != nil {
-			return nil, err
-		}
-		if p.name == "Alpha" {
-			alpha = sec
-		}
+	recs, err := x.RunAll(seqSpecs(x, e.workload))
+	if err != nil {
+		return nil, err
+	}
+	alpha := recs[0].PaperSeconds // seqPlatforms lists the Alpha first
+	for i, p := range seqPlatforms {
+		sec := recs[i].PaperSeconds
 		tb.AddRow(p.name, sec, fmt.Sprintf("%.2f", sec/alpha))
 	}
 	return &Result{Tables: []*report.Table{tb}}, nil
@@ -130,28 +128,25 @@ func (e extension) streams(x *Exec) (*Result, error) {
 		{Label: "Exemplar (16 proc)", Marker: '+'},
 		{Label: "Pentium Pro (4 proc)", Marker: 'o'},
 	}
-	var one [3]float64 // each series' seconds at one thread
-	for _, n := range []int{1, 2, 4, 8, 16, 32, 64, 128} {
-		rec, err := x.Run(extFine(x, e.workload, "tera", 1, n))
-		if err != nil {
-			return nil, err
-		}
-		exSec, err := x.Seconds(extCoarse(x, e.workload, "exemplar", 16, n))
-		if err != nil {
-			return nil, err
-		}
-		ppSec, err := x.Seconds(extCoarse(x, e.workload, "ppro", 4, n))
-		if err != nil {
-			return nil, err
-		}
-		secs := [3]float64{rec.PaperSeconds, exSec, ppSec}
-		if n == 1 {
-			one = secs
-		}
-		tb.AddRow(n, secs[0], fmt.Sprintf("%.1f%%", rec.Stats.ProcUtil[0]*100), secs[1], secs[2])
+	counts := []int{1, 2, 4, 8, 16, 32, 64, 128}
+	var specs []run.Spec
+	for _, n := range counts {
+		specs = append(specs,
+			extFine(x, e.workload, "tera", 1, n),
+			extCoarse(x, e.workload, "exemplar", 16, n),
+			extCoarse(x, e.workload, "ppro", 4, n))
+	}
+	recs, err := x.RunAll(specs)
+	if err != nil {
+		return nil, err
+	}
+	for j, n := range counts {
+		row := recs[3*j : 3*j+3] // MTA fine, Exemplar coarse, PPro coarse
+		tb.AddRow(n, row[0].PaperSeconds, fmt.Sprintf("%.1f%%", row[0].Stats.ProcUtil[0]*100),
+			row[1].PaperSeconds, row[2].PaperSeconds)
 		for i := range series {
 			series[i].X = append(series[i].X, float64(n))
-			series[i].Y = append(series[i].Y, one[i]/secs[i])
+			series[i].Y = append(series[i].Y, recs[i].PaperSeconds/row[i].PaperSeconds)
 		}
 	}
 	fig := &report.Figure{
@@ -159,6 +154,13 @@ func (e extension) streams(x *Exec) (*Result, error) {
 		XLabel: "threads", YLabel: "speedup", Series: series,
 	}
 	return &Result{Tables: []*report.Table{tb}, Figures: []*report.Figure{fig}}, nil
+}
+
+// variantCell is one row of a <key>-variants table: the program style, the
+// platform and the Spec whose seconds fill the model column.
+type variantCell struct {
+	group, name string
+	spec        run.Spec
 }
 
 // variants compares the three program styles across platforms — the
@@ -182,10 +184,7 @@ func (e extension) variants(x *Exec) (*Result, error) {
 			fmt.Sprintf("scale %g normalized", x.Cfg.Scale(e.workload)),
 		},
 	}
-	for _, c := range []struct {
-		group, name string
-		spec        run.Spec
-	}{
+	cells := []variantCell{
 		{"None", "Alpha", extSeq(x, e.workload, "alpha", 1)},
 		{"None", "Tera", extSeq(x, e.workload, "tera", 1)},
 		{"Coarse", "Pentium Pro (4 processors)", extCoarse(x, e.workload, "ppro", 4, 4)},
@@ -194,12 +193,13 @@ func (e extension) variants(x *Exec) (*Result, error) {
 		{"Fine-grained", fmt.Sprintf("Exemplar (16 processors, %d threads)", fineCompare), extFine(x, e.workload, "exemplar", 16, fineCompare)},
 		{"Fine-grained", fmt.Sprintf("Tera MTA (1 processor, %d threads)", mtaThreads), extFine(x, e.workload, "tera", 1, mtaThreads)},
 		{"Fine-grained", fmt.Sprintf("Tera MTA (2 processors, %d threads)", mtaThreads), extFine(x, e.workload, "tera", 2, mtaThreads)},
-	} {
-		sec, err := x.Seconds(c.spec)
-		if err != nil {
-			return nil, err
-		}
-		tb.AddRow(c.group, c.name, sec)
+	}
+	recs, err := x.RunAll(specsOf(cells, func(c variantCell) run.Spec { return c.spec }))
+	if err != nil {
+		return nil, err
+	}
+	for i, c := range cells {
+		tb.AddRow(c.group, c.name, recs[i].PaperSeconds)
 	}
 	return &Result{Tables: []*report.Table{tb}}, nil
 }
@@ -211,18 +211,14 @@ func (e extension) variants(x *Exec) (*Result, error) {
 // restructuring argument as the repo-wide ablation-latency experiment,
 // applied to the suite's synchronization-heavy workload.
 func runPlotPipelined(x *Exec) (*Result, error) {
-	price := func(pipelined int) (float64, error) {
-		return x.Seconds(x.Spec(PT, "sequential", "tera", 1,
-			suite.Params{"pipelined": pipelined}))
-	}
-	dep, err := price(0)
+	recs, err := x.RunAll([]run.Spec{
+		x.Spec(PT, "sequential", "tera", 1, suite.Params{"pipelined": 0}),
+		x.Spec(PT, "sequential", "tera", 1, suite.Params{"pipelined": 1}),
+	})
 	if err != nil {
 		return nil, err
 	}
-	pipe, err := price(1)
-	if err != nil {
-		return nil, err
-	}
+	dep, pipe := recs[0].PaperSeconds, recs[1].PaperSeconds
 	tb := &report.Table{
 		ID:      "pt-pipelined",
 		Title:   "Sequential Plot-Track Assignment on one Tera MTA processor: dependent price loads vs perfect lookahead",
@@ -266,11 +262,12 @@ func runHypoGrid(x *Exec) (*Result, error) {
 			"model seconds normalized per point to the suite's full observation load at that point's scale",
 		},
 	}
-	for _, gp := range pts {
-		rec, err := x.Run(gp.Spec)
-		if err != nil {
-			return nil, fmt.Errorf("grid point %s: %w", gp.Label, err)
-		}
+	recs, err := x.RunAll(specsOf(pts, func(gp run.GridPoint) run.Spec { return gp.Spec }))
+	if err != nil {
+		return nil, err
+	}
+	for i, gp := range pts {
+		rec := recs[i]
 		row := []any{}
 		for _, a := range w.Grid.Axes {
 			row = append(row, fmt.Sprintf("%g", gp.Point[a.Name]))

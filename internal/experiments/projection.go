@@ -39,70 +39,45 @@ func runProjectionScaling(x *Exec) (*Result, error) {
 		spec.NetLatencyMult, spec.NetBandwidthEff = 1.0, 1.0
 		return spec
 	}
-	runTA := func(procs int) (float64, error) {
-		// Enough threads to cover all processors' streams (until the threat
-		// count runs out — the interesting limit).
-		chunks := 256
-		if c := procs * 128; c > chunks {
-			chunks = c
+	// Each processor count's three cells: TA with enough threads to cover
+	// all processors' streams (until the threat count runs out — the
+	// interesting limit), TM fine and TM hybrid.
+	cells := func(procs int) []run.Spec {
+		return []run.Spec{
+			mature(TA, "coarse", procs, suite.Params{"chunks": max(256, procs*128)}),
+			mature(TM, "fine", procs, suite.Params{"sectors": tmSectors * procs, "merge": tmMergeChunks * procs}),
+			mature(TM, "hybrid", procs, suite.Params{"workers": procs * 2, "sectors": tmSectors, "merge": tmMergeChunks, "blocks": 10}),
 		}
-		return x.Seconds(mature(TA, "coarse", procs, suite.Params{"chunks": chunks}))
 	}
-	runTMFine := func(procs int) (float64, error) {
-		return x.Seconds(mature(TM, "fine", procs,
-			suite.Params{"sectors": tmSectors * procs, "merge": tmMergeChunks * procs}))
+	procCounts := []int{1, 2, 4, 8, 16, 32, 64}
+	specs := cells(1) // the one-processor baselines
+	for _, procs := range procCounts {
+		specs = append(specs, cells(procs)...)
 	}
-	runTMHybrid := func(procs int) (float64, error) {
-		return x.Seconds(mature(TM, "hybrid", procs,
-			suite.Params{"workers": procs * 2, "sectors": tmSectors, "merge": tmMergeChunks, "blocks": 10}))
-	}
-
-	taBase, err := runTA(1)
-	if err != nil {
-		return nil, err
-	}
-	tmFineBase, err := runTMFine(1)
-	if err != nil {
-		return nil, err
-	}
-	tmHybridBase, err := runTMHybrid(1)
+	recs, err := x.RunAll(specs)
 	if err != nil {
 		return nil, err
 	}
 
+	series := []report.Series{
+		{Label: "Threat Analysis", Marker: '*'},
+		{Label: "TM fine", Marker: '+'},
+		{Label: "TM hybrid", Marker: 'o'},
+	}
+	for j, procs := range procCounts {
+		row := recs[3+3*j : 6+3*j]
+		cols := []any{procs}
+		for i := range series {
+			speedup := recs[i].PaperSeconds / row[i].PaperSeconds
+			cols = append(cols, report.FormatSpeedup(speedup))
+			series[i].X = append(series[i].X, float64(procs))
+			series[i].Y = append(series[i].Y, speedup)
+		}
+		tb.AddRow(cols...)
+	}
 	fig := &report.Figure{
 		ID: "projection-figure", Title: "Projected MTA speedup vs processors (mature network)",
-		XLabel: "processors", YLabel: "speedup",
+		XLabel: "processors", YLabel: "speedup", Series: series,
 	}
-	var taS, tmFineS, tmHybS report.Series
-	taS.Label, taS.Marker = "Threat Analysis", '*'
-	tmFineS.Label, tmFineS.Marker = "TM fine", '+'
-	tmHybS.Label, tmHybS.Marker = "TM hybrid", 'o'
-
-	for _, procs := range []int{1, 2, 4, 8, 16, 32, 64} {
-		ta, err := runTA(procs)
-		if err != nil {
-			return nil, err
-		}
-		tmF, err := runTMFine(procs)
-		if err != nil {
-			return nil, err
-		}
-		tmH, err := runTMHybrid(procs)
-		if err != nil {
-			return nil, err
-		}
-		tb.AddRow(procs,
-			report.FormatSpeedup(taBase/ta),
-			report.FormatSpeedup(tmFineBase/tmF),
-			report.FormatSpeedup(tmHybridBase/tmH))
-		taS.X = append(taS.X, float64(procs))
-		taS.Y = append(taS.Y, taBase/ta)
-		tmFineS.X = append(tmFineS.X, float64(procs))
-		tmFineS.Y = append(tmFineS.Y, tmFineBase/tmF)
-		tmHybS.X = append(tmHybS.X, float64(procs))
-		tmHybS.Y = append(tmHybS.Y, tmHybridBase/tmH)
-	}
-	fig.Series = []report.Series{taS, tmFineS, tmHybS}
 	return &Result{Tables: []*report.Table{tb}, Figures: []*report.Figure{fig}}, nil
 }

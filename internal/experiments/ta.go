@@ -23,13 +23,17 @@ func taFine(x *Exec, key string, procs int) run.Spec {
 	return x.Spec(TA, "fine", key, procs, nil)
 }
 
+// seqPlatform is one row of a sequential table: a platform at its processor
+// count.
+type seqPlatform struct {
+	name, key string
+	procs     int
+}
+
 // seqPlatforms are the rows of every sequential table (Tables 2 and 8 and
 // the suite extensions'): the four platforms, Alpha first, each at its
 // processor count.
-var seqPlatforms = []struct {
-	name, key string
-	procs     int
-}{
+var seqPlatforms = []seqPlatform{
 	{"Alpha", "alpha", 1},
 	{"Pentium Pro", "ppro", 4},
 	{"Exemplar", "exemplar", 16},
@@ -54,14 +58,23 @@ func sequentialTable(x *Exec, id, workload string, paper map[string]float64) (*R
 		Notes: []string{fmt.Sprintf("model at scale %g, normalized to the paper's %d %s",
 			x.Cfg.Scale(workload), w.PaperUnits, w.UnitName)},
 	}
-	for _, p := range seqPlatforms {
-		sec, err := x.Seconds(x.Spec(workload, "sequential", p.key, p.procs, nil))
-		if err != nil {
-			return nil, err
-		}
+	recs, err := x.RunAll(seqSpecs(x, workload))
+	if err != nil {
+		return nil, err
+	}
+	for i, p := range seqPlatforms {
+		sec := recs[i].PaperSeconds
 		tb.AddRow(p.name, paper[p.name], sec, fmt.Sprintf("%.2f", sec/paper[p.name]))
 	}
 	return &Result{Tables: []*report.Table{tb}}, nil
+}
+
+// seqSpecs declares a workload's sequential program on every seqPlatforms
+// row, in order.
+func seqSpecs(x *Exec, workload string) []run.Spec {
+	return specsOf(seqPlatforms, func(p seqPlatform) run.Spec {
+		return x.Spec(workload, "sequential", p.key, p.procs, nil)
+	})
 }
 
 // speedupTable runs a processor sweep — specs[0] is the sequential program,
@@ -70,13 +83,9 @@ func sequentialTable(x *Exec, id, workload string, paper map[string]float64) (*R
 func speedupTable(x *Exec, id, figID, title, figTitle string, paper map[int]float64,
 	specs []run.Spec, note string) (*Result, error) {
 
-	model := make([]float64, len(specs))
-	for p, spec := range specs {
-		sec, err := x.Seconds(spec)
-		if err != nil {
-			return nil, err
-		}
-		model[p] = sec
+	recs, err := x.RunAll(specs)
+	if err != nil {
+		return nil, err
 	}
 	tb := &report.Table{
 		ID:      id,
@@ -84,7 +93,7 @@ func speedupTable(x *Exec, id, figID, title, figTitle string, paper map[int]floa
 		Columns: []string{"Number of processors", "Paper (s)", "Paper speedup", "Model (s)", "Model speedup"},
 		Notes:   []string{note},
 	}
-	paperSeq, modelSeq := paper[0], model[0]
+	paperSeq, modelSeq := paper[0], recs[0].PaperSeconds
 	tb.AddRow("Sequential", paperSeq, "N.A.", modelSeq, "N.A.")
 	fig := &report.Figure{
 		ID: figID, Title: figTitle,
@@ -94,7 +103,7 @@ func speedupTable(x *Exec, id, figID, title, figTitle string, paper map[int]floa
 	paperS.Label, paperS.Marker = "paper", '+'
 	modelS.Label, modelS.Marker = "model", '*'
 	for p := 1; p < len(specs); p++ {
-		ps, ms := paper[p], model[p]
+		ps, ms := paper[p], recs[p].PaperSeconds
 		tb.AddRow(p, ps, report.FormatSpeedup(paperSeq/ps), ms, report.FormatSpeedup(modelSeq/ms))
 		paperS.X = append(paperS.X, float64(p))
 		paperS.Y = append(paperS.Y, paperSeq/ps)
@@ -151,18 +160,14 @@ func teraTable(x *Exec, id, workload string, paper map[int]float64, specs []run.
 		Columns: []string{"Number of Processors", "Paper (s)", "Paper speedup", "Model (s)", "Model speedup"},
 		Notes:   notes,
 	}
-	var oneProc float64
-	for i, spec := range specs {
-		sec, err := x.Seconds(spec)
-		if err != nil {
-			return nil, err
-		}
-		p := i + 1
-		if p == 1 {
-			oneProc = sec
-		}
+	recs, err := x.RunAll(specs)
+	if err != nil {
+		return nil, err
+	}
+	for i, rec := range recs {
+		p, sec := i+1, rec.PaperSeconds
 		tb.AddRow(p, paper[p], report.FormatSpeedup(paper[1]/paper[p]),
-			sec, report.FormatSpeedup(oneProc/sec))
+			sec, report.FormatSpeedup(recs[0].PaperSeconds/sec))
 	}
 	return &Result{Tables: []*report.Table{tb}}, nil
 }
@@ -176,12 +181,13 @@ func runTable6(x *Exec) (*Result, error) {
 		Columns: []string{"Number of Chunks", "Paper (s)", "Model (s)"},
 		Notes:   []string{fmt.Sprintf("two processors; scale %g normalized", x.Cfg.Scale(TA))},
 	}
-	for _, chunks := range suite.SortedKeys(PaperTable6) {
-		sec, err := x.Seconds(taChunked(x, "tera", 2, chunks))
-		if err != nil {
-			return nil, err
-		}
-		tb.AddRow(chunks, PaperTable6[chunks], sec)
+	chunks := suite.SortedKeys(PaperTable6)
+	recs, err := x.RunAll(specsOf(chunks, func(c int) run.Spec { return taChunked(x, "tera", 2, c) }))
+	if err != nil {
+		return nil, err
+	}
+	for i, c := range chunks {
+		tb.AddRow(c, PaperTable6[c], recs[i].PaperSeconds)
 	}
 	return &Result{Tables: []*report.Table{tb}}, nil
 }
@@ -214,7 +220,7 @@ type summaryCell struct {
 	spec        run.Spec
 }
 
-// summary runs each cell's Spec in order and builds a paper summary table
+// summary runs the cells' Specs as one batch and builds a paper summary table
 // across parallelization strategies and platforms (Tables 7 and 12). The
 // "Automatic" rows equal the sequential rows because the dependence analyzer
 // (like the paper's compilers) finds no practical opportunities — see the
@@ -229,12 +235,12 @@ func summary(x *Exec, id, workload string, cells []summaryCell) (*Result, error)
 			fmt.Sprintf("scale %g normalized", x.Cfg.Scale(workload)),
 		},
 	}
-	for _, c := range cells {
-		sec, err := x.Seconds(c.spec)
-		if err != nil {
-			return nil, err
-		}
-		tb.AddRow(c.group, c.name, c.paper, sec)
+	recs, err := x.RunAll(specsOf(cells, func(c summaryCell) run.Spec { return c.spec }))
+	if err != nil {
+		return nil, err
+	}
+	for i, c := range cells {
+		tb.AddRow(c.group, c.name, c.paper, recs[i].PaperSeconds)
 	}
 	return &Result{Tables: []*report.Table{tb}}, nil
 }

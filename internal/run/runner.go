@@ -50,6 +50,28 @@ type Executor interface {
 
 var _ Executor = (*Runner)(nil)
 
+// Batch executes specs through e and returns their Records in the same
+// order. An executor that runs whole batches itself (a *Runner, a
+// serve.Client) gets one RunAll call; any other Executor gets one Run per
+// Spec, serially and in order, and the first error ends the batch — so a
+// Run-only executor sees exactly the calls of a loop over specs.
+func Batch(ctx context.Context, e Executor, specs []Spec) ([]Record, error) {
+	if b, ok := e.(interface {
+		RunAll(context.Context, []Spec) ([]Record, error)
+	}); ok {
+		return b.RunAll(ctx, specs)
+	}
+	recs := make([]Record, len(specs))
+	for i, spec := range specs {
+		rec, err := e.Run(ctx, spec)
+		if err != nil {
+			return nil, err
+		}
+		recs[i] = rec
+	}
+	return recs, nil
+}
+
 // Runner executes Specs. It owns the two caches every consumer shares: the
 // memoized (and pre-warmed) scenario suites per workload×scale, and the
 // single-flight Record cache keyed by Spec.Key, so concurrent consumers that

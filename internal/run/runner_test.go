@@ -361,3 +361,39 @@ func TestOnceMapResetDuringInflight(t *testing.T) {
 		t.Errorf("post-reset do = %d, %v; want fresh value 2", v, err)
 	}
 }
+
+// runOnly is a Run-only Executor that fails on one key and logs each call.
+type runOnly struct {
+	fail  string
+	calls []string
+}
+
+func (r *runOnly) Run(_ context.Context, spec Spec) (Record, error) {
+	r.calls = append(r.calls, spec.Key())
+	if spec.Key() == r.fail {
+		return Record{}, errors.New("cell failed")
+	}
+	return Record{Key: spec.Key()}, nil
+}
+
+func TestBatchRunOnlyIsSerialAndStopsAtFirstError(t *testing.T) {
+	// A Run-only executor sees one Run per Spec in order, and the first
+	// error ends the batch: later Specs are never run.
+	specs := make([]Spec, 3)
+	for i := range specs {
+		specs[i] = Spec{Workload: "w", Variant: "v", Platform: "alpha", Procs: 1, Scale: float64(i + 1)}
+	}
+	ok := &runOnly{}
+	recs, err := Batch(context.Background(), ok, specs)
+	if err != nil || len(recs) != 3 || recs[2].Key != specs[2].Key() {
+		t.Fatalf("Batch = %v, %v", recs, err)
+	}
+	bad := &runOnly{fail: specs[1].Key()}
+	if _, err := Batch(context.Background(), bad, specs); err == nil {
+		t.Error("a failing cell did not fail the batch")
+	}
+	if want := []string{specs[0].Key(), specs[1].Key()}; len(bad.calls) != 2 ||
+		bad.calls[0] != want[0] || bad.calls[1] != want[1] {
+		t.Errorf("Run calls %v, want %v", bad.calls, want)
+	}
+}

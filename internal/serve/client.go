@@ -237,7 +237,9 @@ func (c *Client) post(ctx context.Context, path string, body []byte) (*http.Resp
 	}
 }
 
-// Run executes one Spec remotely (a batch of one).
+// Run executes one Spec remotely (a batch of one). Consumers with several
+// Specs send them together through RunAll (run.Batch does), one round trip
+// instead of one per Spec.
 func (c *Client) Run(ctx context.Context, spec run.Spec) (run.Record, error) {
 	recs, err := c.RunAll(ctx, []run.Spec{spec})
 	if err != nil {
@@ -306,26 +308,36 @@ func (c *Client) RunStream(ctx context.Context, specs []run.Spec, fn func(Stream
 
 // RunAll executes a Spec batch remotely and returns records positionally,
 // mirroring run.Runner.RunAll: the returned error joins every per-spec
-// failure, and successful entries are valid regardless.
+// failure, and successful entries are valid regardless. A batch the server
+// still answers with 429 after the retries (a whole sweep can outgrow a
+// server's bounded queue however often it is retried) is split: RunAll
+// halves the sub-batch size until the server admits it, down to one Spec per
+// request, so the same sweep runs against any fleet configuration.
 func (c *Client) RunAll(ctx context.Context, specs []run.Spec) ([]run.Record, error) {
-	if len(specs) == 0 {
-		return nil, nil
-	}
-	br, err := c.RunBatch(ctx, specs)
-	if err != nil {
-		return nil, err
-	}
 	recs := make([]run.Record, len(specs))
-	errs := make([]error, len(specs))
-	for i := range specs {
-		switch {
-		case br.Errors[i] != "":
-			errs[i] = fmt.Errorf("spec %d (%s): %s", i, specs[i].Key(), br.Errors[i])
-		case br.Records[i] == nil:
-			errs[i] = fmt.Errorf("spec %d (%s): server returned neither record nor error", i, specs[i].Key())
-		default:
-			recs[i] = *br.Records[i]
+	var errs []error
+	for lo, size := 0, len(specs); lo < len(specs); {
+		hi := min(lo+size, len(specs))
+		br, err := c.RunBatch(ctx, specs[lo:hi])
+		var se *StatusError
+		if errors.As(err, &se) && se.Code == http.StatusTooManyRequests && size > 1 {
+			size = (size + 1) / 2
+			continue
 		}
+		if err != nil {
+			return nil, err
+		}
+		for i := lo; i < hi; i++ {
+			switch rec, msg := br.Records[i-lo], br.Errors[i-lo]; {
+			case msg != "":
+				errs = append(errs, fmt.Errorf("spec %d (%s): %s", i, specs[i].Key(), msg))
+			case rec == nil:
+				errs = append(errs, fmt.Errorf("spec %d (%s): server returned neither record nor error", i, specs[i].Key()))
+			default:
+				recs[i] = *rec
+			}
+		}
+		lo = hi
 	}
 	return recs, errors.Join(errs...)
 }

@@ -2,9 +2,12 @@ package serve_test
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"slices"
+	"sync"
 	"testing"
 	"time"
 
@@ -162,5 +165,82 @@ func TestClientStatusError(t *testing.T) {
 		t.Errorf("RunStream error %v does not unwrap to *StatusError", err)
 	} else if se.Code != http.StatusTooManyRequests {
 		t.Errorf("RunStream StatusError code = %d, want 429", se.Code)
+	}
+}
+
+// admissionServer answers 429 to any batch of more than cap Specs, as a
+// c3iserve whose pool queue is smaller than a whole sweep does, and echoes
+// each admitted Spec's key otherwise. It records the sizes of the batches it
+// rejected and admitted.
+func admissionServer(t *testing.T, cap int) (ts *httptest.Server, rejected, admitted *[]int) {
+	t.Helper()
+	var mu sync.Mutex
+	rejected, admitted = new([]int), new([]int)
+	ts = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		var specs []run.Spec
+		if err := json.NewDecoder(r.Body).Decode(&specs); err != nil {
+			http.Error(w, err.Error(), http.StatusBadRequest)
+			return
+		}
+		mu.Lock()
+		full := len(specs) > cap
+		if full {
+			*rejected = append(*rejected, len(specs))
+		} else {
+			*admitted = append(*admitted, len(specs))
+		}
+		mu.Unlock()
+		if full {
+			http.Error(w, "pool queue is full", http.StatusTooManyRequests)
+			return
+		}
+		br := serve.BatchResponse{Records: make([]*run.Record, len(specs)), Errors: make([]string, len(specs))}
+		for i, sp := range specs {
+			br.Records[i] = &run.Record{Key: sp.Key()}
+		}
+		_ = json.NewEncoder(w).Encode(br)
+	}))
+	t.Cleanup(ts.Close)
+	return ts, rejected, admitted
+}
+
+func TestClientRunAllShrinksBatchesUntilAdmitted(t *testing.T) {
+	// 81 specs against a server that admits at most 6 at a time: RunAll
+	// must halve 81→41→21→11→6 and then deliver every record, in order.
+	specs := make([]run.Spec, 81)
+	for i := range specs {
+		specs[i] = run.Spec{Workload: "w", Variant: "v", Platform: "alpha",
+			Procs: 1, Scale: float64(i+1) / 100}
+	}
+	ts, rejected, admitted := admissionServer(t, 6)
+	cl := &serve.Client{Addr: ts.URL, HTTP: ts.Client(), RetryBackoff: time.Millisecond}
+	recs, err := cl.RunAll(context.Background(), specs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) != len(specs) {
+		t.Fatalf("got %d records, want %d", len(recs), len(specs))
+	}
+	for i, rec := range recs {
+		if rec.Key != specs[i].Key() {
+			t.Fatalf("record %d out of order: %q", i, rec.Key)
+		}
+	}
+	// Each size is rejected once per attempt, retries included.
+	if got, want := slices.Compact(*rejected), []int{81, 41, 21, 11}; !slices.Equal(got, want) {
+		t.Errorf("rejected batch sizes %v, want %v", got, want)
+	}
+	want := []int{6, 6, 6, 6, 6, 6, 6, 6, 6, 6, 6, 6, 6, 3}
+	if !slices.Equal(*admitted, want) {
+		t.Errorf("admitted batches %v, want %v (81 halved to 6)", *admitted, want)
+	}
+
+	// A 429 for a single Spec is a real failure, not an admission loop.
+	ts, _, _ = admissionServer(t, 0)
+	cl = &serve.Client{Addr: ts.URL, HTTP: ts.Client(), RetryBackoff: time.Millisecond}
+	_, err = cl.RunAll(context.Background(), specs[:2])
+	var se *serve.StatusError
+	if !errors.As(err, &se) || se.Code != http.StatusTooManyRequests {
+		t.Errorf("cap 0: err = %v, want the 429 surfaced", err)
 	}
 }
