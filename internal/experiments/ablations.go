@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/c3i/suite"
+	"repro/internal/mta"
 	"repro/internal/report"
 	"repro/internal/run"
 )
@@ -97,12 +98,14 @@ func runAblationNetwork(x *Exec) (*Result, error) {
 		return nil, err
 	}
 
+	calibrated := mta.DefaultParams(2)
 	tb := &report.Table{
 		ID:      "ablation-network",
 		Title:   "Two-processor Tera MTA speedup vs interconnection-network maturity",
 		Columns: []string{"Latency multiplier", "Bandwidth efficiency", "TA speedup", "TM speedup"},
 		Notes: []string{
-			"paper: \"The less-than-ideal speedup may be a result of the development status of the current Tera MTA network\"; defaults are 1.8/0.62",
+			fmt.Sprintf("paper: \"The less-than-ideal speedup may be a result of the development status of the current Tera MTA network\"; the calibrated model uses %g/%g",
+				calibrated.NetLatencyMult, calibrated.NetBandwidthEff),
 		},
 	}
 	for i, net := range nets {

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"repro/internal/machine"
+	"repro/internal/mta"
 	"repro/internal/run"
 )
 
@@ -752,5 +753,19 @@ func TestIDsMatchAll(t *testing.T) {
 		if ids[i] != all[i].ID {
 			t.Errorf("IDs[%d] = %q, want %q", i, ids[i], all[i].ID)
 		}
+	}
+}
+
+func TestAblationNetworkNoteNamesCalibratedNetwork(t *testing.T) {
+	// The note quotes the calibrated network factors the model runs with,
+	// whatever they are calibrated to.
+	res, err := Get2(t, "ablation-network").Run(Config{Scales: testCfg.Scales, Executor: &batchCounter{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := mta.DefaultParams(2)
+	want := fmt.Sprintf("the calibrated model uses %g/%g", d.NetLatencyMult, d.NetBandwidthEff)
+	if notes := strings.Join(res.Tables[0].Notes, "\n"); !strings.Contains(notes, want) {
+		t.Errorf("notes %q do not say %q", notes, want)
 	}
 }
