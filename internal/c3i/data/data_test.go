@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/gob"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -34,6 +35,10 @@ func mut[S any](f func(*S)) func(suite.Scenario) {
 	return func(sc suite.Scenario) { f(any(sc).(*S)) }
 }
 
+// hugeClimb launches the first threat at 1e12 m/s, a flight of 816 G steps
+// at the default time step.
+func hugeClimb(s *threat.Scenario) { s.Threats[0].Vel.Z = 1e12 }
+
 // fixtures holds, for every shipped workload, a small valid scenario (a
 // round-trip case and a fuzz seed) and mutations its Validate must reject.
 var fixtures = map[string]struct {
@@ -47,6 +52,15 @@ var fixtures = map[string]struct {
 		bad: []badCase{
 			{"zero time step", mut(func(s *threat.Scenario) { s.DT = 0 }), "time step"},
 			{"negative time step", mut(func(s *threat.Scenario) { s.DT = -0.25 }), "time step"},
+			{"infinite time step", mut(func(s *threat.Scenario) { s.DT = math.Inf(1) }), "time step"},
+			{"816 G pair steps", mut(hugeClimb), "pair steps"},
+			{"NaN detection", mut(func(s *threat.Scenario) { s.Threats[0].Detect = math.NaN() }), "non-finite"},
+			{"+Inf launch", mut(func(s *threat.Scenario) { s.Threats[0].Launch.X = math.Inf(1) }), "non-finite"},
+			{"-Inf velocity", mut(func(s *threat.Scenario) { s.Threats[0].Vel.Y = math.Inf(-1) }), "non-finite"},
+			{"NaN weapon speed", mut(func(s *threat.Scenario) { s.Weapons[0].Speed = math.NaN() }), "non-finite"},
+			{"+Inf weapon range", mut(func(s *threat.Scenario) { s.Weapons[0].MaxRange = math.Inf(1) }), "non-finite"},
+			{"-Inf weapon readiness", mut(func(s *threat.Scenario) { s.Weapons[0].Ready = math.Inf(-1) }), "non-finite"},
+			{"detection past any int step", mut(func(s *threat.Scenario) { s.Threats[0].Detect = 1e300 }), "beyond"},
 		},
 	},
 	"terrain-masking": {
@@ -198,6 +212,13 @@ func FuzzLoadScenario(f *testing.F) {
 		}
 		f.Add(buf.Bytes())
 	}
+	huge := fixtures["threat-analysis"].small().(*threat.Scenario)
+	hugeClimb(huge)
+	var buf bytes.Buffer
+	if err := encode(&buf, "threat-analysis", huge); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(buf.Bytes())
 	f.Fuzz(func(t *testing.T, in []byte) {
 		for _, w := range suite.All() {
 			sc, err := load(bytes.NewReader(in), "input", w)

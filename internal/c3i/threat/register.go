@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/fnv"
+	"math"
 
 	"repro/internal/c3i/suite"
 	"repro/internal/machine"
@@ -27,13 +28,56 @@ func (s *Scenario) Warm() {
 	}
 }
 
-// Validate implements suite.Scenario: the time step must be positive, or
-// the interception scan has no steps to walk.
+// MaxTotalSteps bounds the work a scenario file may declare: its pair steps
+// summed over every (threat, weapon) pair (TotalSteps). It is 2^30, about 32
+// times the 33,677,400 pair steps of the largest scenario Suite(1)
+// generates, whose longest pair is 1,934 steps.
+const MaxTotalSteps = 1 << 30
+
+// maxStep bounds a threat's detection and impact step indices: 2^53, the
+// largest float64 that converts to an int exactly.
+const maxStep = 1 << 53
+
+// Validate implements suite.Scenario. The time step must be positive and
+// finite, every threat and weapon field finite, and the total pair steps at
+// most MaxTotalSteps. Steps are counted in float64, so a huge flight time is
+// rejected before DetectStep or ImpactStep could wrap an int.
 func (s *Scenario) Validate() error {
-	if !(s.DT > 0) {
-		return fmt.Errorf("threat: time step %g, want positive", s.DT)
+	if !(s.DT > 0) || math.IsInf(s.DT, 1) {
+		return fmt.Errorf("threat: time step %g, want positive and finite", s.DT)
+	}
+	var total float64
+	for i := range s.Threats {
+		th := &s.Threats[i]
+		if !finite(th.Launch.X, th.Launch.Y, th.Launch.Z, th.Vel.X, th.Vel.Y, th.Vel.Z, th.Detect) {
+			return fmt.Errorf("threat: threat %d has a non-finite field", th.ID)
+		}
+		lo, hi := math.Ceil(th.Detect/s.DT), math.Floor(th.ImpactTime()/s.DT)
+		if math.Abs(lo) > maxStep || math.Abs(hi) > maxStep {
+			return fmt.Errorf("threat: threat %d detects at step %g and impacts at step %g, beyond ±2^53", th.ID, lo, hi)
+		}
+		total += max(0, hi-lo+1) * float64(len(s.Weapons))
+	}
+	for i := range s.Weapons {
+		w := &s.Weapons[i]
+		if !finite(w.Pos.X, w.Pos.Y, w.Pos.Z, w.MinRange, w.MaxRange, w.MinAlt, w.MaxAlt, w.Speed, w.Ready) {
+			return fmt.Errorf("threat: weapon %d has a non-finite field", w.ID)
+		}
+	}
+	if total > MaxTotalSteps {
+		return fmt.Errorf("threat: %g pair steps, more than the %d a scenario may hold", total, MaxTotalSteps)
 	}
 	return nil
+}
+
+// finite reports whether every value is neither NaN nor infinite.
+func finite(vs ...float64) bool {
+	for _, v := range vs {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return false
+		}
+	}
+	return true
 }
 
 // Checksum reduces a solver's interval set to a stable FNV-1a checksum: the
