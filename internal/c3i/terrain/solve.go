@@ -231,22 +231,13 @@ func SequentialOpt(t *machine.Thread, s *Scenario, o Opt) *Output {
 	lay := NewLayout(t, s, o)
 	c := lay.Costs
 	temp := lay.AllocField(t, "seq")
-	out := &Output{TempBytes: temp.Size}
-	if !lay.ChargeOnly {
-		out.Masking = NewMasking(s.Grid)
-	}
+	out := lay.newOutput()
+	out.TempBytes = temp.Size
 
 	var f *Field
 	for i := range s.Threats {
 		site := &s.Threats[i]
-		if lay.ChargeOnly {
-			f = nil
-		} else if f == nil {
-			f = NewField(site)
-		} else {
-			f.X0, f.Y0 = site.X-site.R, site.Y-site.R
-			f.Reset()
-		}
+		f = lay.nextField(site, f)
 		off, cells := lay.bboxBytes(site)
 		// Serial per-threat driver work (the paper: "sequences of execution
 		// that do not parallelize well").
@@ -284,12 +275,28 @@ func CoarseOpt(t *machine.Thread, s *Scenario, workers, blocks int, o Opt) *Outp
 		panic("terrain: Coarse needs ≥1 worker and ≥1 block")
 	}
 	lay := NewLayout(t, s, o)
-	c := lay.Costs
-	out := &Output{}
-	if !lay.ChargeOnly {
-		out.Masking = NewMasking(s.Grid)
-	}
+	return lay.crew(t, workers, blocks, func(wt *machine.Thread, site *ThreatSite, f *Field, temp *mem.Region) {
+		_, cells := lay.bboxBytes(site)
+		// temp[x][y] = INFINITY
+		lay.chargePass(wt, temp, 0, cells, 0, 1, 0)
+		// temp[x][y] = max safe altitude due to threat
+		lay.TraceSectorCharged(wt, site, f, temp, 0, 0, NumRays(site.R))
+	})
+}
 
+// crew runs Program 4's dynamic loop over the scenario's threats, the
+// structure the coarse and hybrid variants share. Each of workers threads
+// allocates a private temp array, then repeatedly claims the next
+// unprocessed threat from a shared counter, runs the threat's serial driver
+// work, fills temp through fill, and minimizes temp into the shared masking
+// array one block at a time under that block's lock (blocks×blocks locks
+// over the terrain). Every worker is spawned and allocates its temp array
+// even when workers outnumber threats, as the paper's program does.
+func (lay *Layout) crew(t *machine.Thread, workers, blocks int,
+	fill func(wt *machine.Thread, site *ThreatSite, f *Field, temp *mem.Region)) *Output {
+
+	s, c := lay.Scenario, lay.Costs
+	out := lay.newOutput()
 	locks := make([]*machine.Lock, blocks*blocks)
 	for i := range locks {
 		locks[i] = t.NewLock(fmt.Sprintf("%s block[%d]", s.Name, i))
@@ -298,8 +305,7 @@ func CoarseOpt(t *machine.Thread, s *Scenario, workers, blocks int, o Opt) *Outp
 
 	next := t.NewCounter(s.Name+" next threat", 0)
 	ts := make([]*machine.Thread, workers)
-	for w := 0; w < workers; w++ {
-		w := w
+	for w := range ts {
 		ts[w] = t.Go(fmt.Sprintf("%s worker[%d]", s.Name, w), func(wt *machine.Thread) {
 			temp := lay.AllocField(wt, fmt.Sprintf("w%d", w))
 			out.TempBytes += temp.Size
@@ -310,35 +316,24 @@ func CoarseOpt(t *machine.Thread, s *Scenario, workers, blocks int, o Opt) *Outp
 					return
 				}
 				site := &s.Threats[item]
-				if lay.ChargeOnly {
-					f = nil
-				} else if f == nil {
-					f = NewField(site)
-				} else {
-					f.X0, f.Y0 = site.X-site.R, site.Y-site.R
-					f.Reset()
-				}
+				f = lay.nextField(site, f)
 				_, cells := lay.bboxBytes(site)
+				// The per-threat driver runs serially on its worker, but
+				// different threats' drivers overlap across workers.
 				wt.Compute(int64(cells) * c.SerialOpsPerCell)
-				// temp[x][y] = INFINITY
-				lay.chargePass(wt, temp, 0, cells, 0, 1, 0)
-				// temp[x][y] = max safe altitude due to threat
-				lay.TraceSectorCharged(wt, site, f, temp, 0, 0, NumRays(site.R))
+				fill(wt, site, f, temp)
 				// Per overlapping block: lock; minimize; unlock. Geometry
 				// comes from the site (f is nil in ChargeOnly replays).
 				fx0, fy0 := site.X-site.R, site.Y-site.R
-				fside := 2*site.R + 1
-				bx0, bx1 := fx0/blockSize, (site.X+site.R)/blockSize
-				by0, by1 := fy0/blockSize, (site.Y+site.R)/blockSize
-				for by := by0; by <= by1; by++ {
-					for bx := bx0; bx <= bx1; bx++ {
+				side := 2*site.R + 1
+				for by := fy0 / blockSize; by <= (site.Y+site.R)/blockSize; by++ {
+					for bx := fx0 / blockSize; bx <= (site.X+site.R)/blockSize; bx++ {
 						l := locks[by*blocks+bx]
 						l.Lock(wt)
 						out.Blocks++
-						x0, x1 := maxI(bx*blockSize, fx0), minI((bx+1)*blockSize, fx0+fside)
-						y0, y1 := maxI(by*blockSize, fy0), minI((by+1)*blockSize, fy0+fside)
-						overlap := (x1 - x0) * (y1 - y0)
-						if overlap > 0 {
+						x0, x1 := max(bx*blockSize, fx0), min((bx+1)*blockSize, fx0+side)
+						y0, y1 := max(by*blockSize, fy0), min((by+1)*blockSize, fy0+side)
+						if overlap := (x1 - x0) * (y1 - y0); overlap > 0 {
 							boff := uint64(y0*s.Grid.W+x0) * 4
 							lay.chargePass(wt, lay.Mask, boff, overlap, 1, 1, c.OpsPerMergeCell)
 							lay.chargePass(wt, temp, 0, overlap, 1, 0, 0)
@@ -358,18 +353,45 @@ func CoarseOpt(t *machine.Thread, s *Scenario, workers, blocks int, o Opt) *Outp
 	return out
 }
 
-func maxI(a, b int) int {
-	if a > b {
-		return a
+// newOutput returns an empty Output, with a masking array unless the run
+// only charges the machine.
+func (lay *Layout) newOutput() *Output {
+	out := &Output{}
+	if !lay.ChargeOnly {
+		out.Masking = NewMasking(lay.Scenario.Grid)
 	}
-	return b
+	return out
 }
 
-func minI(a, b int) int {
-	if a < b {
-		return a
+// nextField returns the field a threat's rays are traced into: nil in
+// ChargeOnly replays, otherwise f moved to the threat's box and reset (a new
+// field for the first threat).
+func (lay *Layout) nextField(site *ThreatSite, f *Field) *Field {
+	switch {
+	case lay.ChargeOnly:
+		return nil
+	case f == nil:
+		return NewField(site)
 	}
-	return b
+	f.X0, f.Y0 = site.X-site.R, site.Y-site.R
+	f.Reset()
+	return f
+}
+
+// fillParallel fills temp with a threat's masking using fine-grained
+// threads: a parallel reset over mergeChunks row chunks, then the ray fan
+// split into sectors parallel sectors.
+func (lay *Layout) fillParallel(t *machine.Thread, site *ThreatSite, f *Field, temp *mem.Region, sectors, mergeChunks int) {
+	name := lay.Scenario.Name
+	side := 2*site.R + 1
+	threads.ParChunks(t, name+" reset", side, mergeChunks, func(ct *machine.Thread, ch, lo, hi int) {
+		if hi > lo {
+			lay.chargePass(ct, temp, uint64(lo*side)*4, (hi-lo)*side, 0, 1, 0)
+		}
+	})
+	threads.ParChunks(t, name+" sectors", NumRays(site.R), sectors, func(ct *machine.Thread, ch, lo, hi int) {
+		lay.TraceSectorCharged(ct, site, f, temp, 0, lo, hi)
+	})
 }
 
 // Fine is the Tera version: the outer loop over threats stays sequential,
@@ -392,49 +414,26 @@ func FineOpt(t *machine.Thread, s *Scenario, sectors, mergeChunks int, o Opt) *O
 	lay := NewLayout(t, s, o)
 	c := lay.Costs
 	temp := lay.AllocField(t, "shared")
-	out := &Output{TempBytes: temp.Size}
-	if !lay.ChargeOnly {
-		out.Masking = NewMasking(s.Grid)
-	}
+	out := lay.newOutput()
+	out.TempBytes = temp.Size
 
 	var f *Field
 	for i := range s.Threats {
 		site := &s.Threats[i]
-		if lay.ChargeOnly {
-			f = nil
-		} else if f == nil {
-			f = NewField(site)
-		} else {
-			f.X0, f.Y0 = site.X-site.R, site.Y-site.R
-			f.Reset()
-		}
+		f = lay.nextField(site, f)
 		off, cells := lay.bboxBytes(site)
 		// The per-threat driver stays serial even in the fine-grained
 		// version — the execution bottleneck the paper predicts for the MTA.
 		t.Compute(int64(cells) * c.SerialOpsPerCell)
-		side := 2*site.R + 1
-		rows := side
-
-		// Parallel reset of temp.
-		threads.ParChunks(t, s.Name+" reset", rows, mergeChunks, func(ct *machine.Thread, ch, lo, hi int) {
-			if hi > lo {
-				lay.chargePass(ct, temp, uint64(lo*side)*4, (hi-lo)*side, 0, 1, 0)
-			}
-		})
-
-		// Parallel ray sectors.
-		fan := NumRays(site.R)
-		threads.ParChunks(t, s.Name+" sectors", fan, sectors, func(ct *machine.Thread, ch, lo, hi int) {
-			lay.TraceSectorCharged(ct, site, f, temp, 0, lo, hi)
-		})
+		lay.fillParallel(t, site, f, temp, sectors, mergeChunks)
 
 		// Parallel minimize into the shared masking array.
-		threads.ParChunks(t, s.Name+" merge", rows, mergeChunks, func(ct *machine.Thread, ch, lo, hi int) {
+		side := 2*site.R + 1
+		threads.ParChunks(t, s.Name+" merge", side, mergeChunks, func(ct *machine.Thread, ch, lo, hi int) {
 			if hi > lo {
-				w := 2*site.R + 1
 				rowOff := off + uint64(lo*s.Grid.W)*4
-				lay.chargePass(ct, lay.Mask, rowOff, (hi-lo)*w, 1, 1, c.OpsPerMergeCell)
-				lay.chargePass(ct, temp, uint64(lo*w)*4, (hi-lo)*w, 1, 0, 0)
+				lay.chargePass(ct, lay.Mask, rowOff, (hi-lo)*side, 1, 1, c.OpsPerMergeCell)
+				lay.chargePass(ct, temp, uint64(lo*side)*4, (hi-lo)*side, 1, 0, 0)
 				if !lay.ChargeOnly {
 					for row := lo; row < hi; row++ {
 						out.Masking.MergeRow(f, row)
@@ -442,7 +441,6 @@ func FineOpt(t *machine.Thread, s *Scenario, sectors, mergeChunks int, o Opt) *O
 				}
 			}
 		})
-		_ = cells
 	}
 	return out
 }
@@ -480,85 +478,7 @@ func HybridOpt(t *machine.Thread, s *Scenario, workers, sectors, mergeChunks, bl
 		o.Costs = FineDefaultCosts
 	}
 	lay := NewLayout(t, s, o)
-	c := lay.Costs
-	out := &Output{}
-	if !lay.ChargeOnly {
-		out.Masking = NewMasking(s.Grid)
-	}
-
-	locks := make([]*machine.Lock, blocks*blocks)
-	for i := range locks {
-		locks[i] = t.NewLock(fmt.Sprintf("%s hblock[%d]", s.Name, i))
-	}
-	blockSize := (s.Grid.W + blocks - 1) / blocks
-
-	next := t.NewCounter(s.Name+" hybrid next", 0)
-	ts := make([]*machine.Thread, workers)
-	for w := 0; w < workers; w++ {
-		w := w
-		ts[w] = t.Go(fmt.Sprintf("%s hworker[%d]", s.Name, w), func(wt *machine.Thread) {
-			temp := lay.AllocField(wt, fmt.Sprintf("h%d", w))
-			out.TempBytes += temp.Size
-			var f *Field
-			for {
-				item := next.Next(wt)
-				if item >= int64(len(s.Threats)) {
-					return
-				}
-				site := &s.Threats[item]
-				if lay.ChargeOnly {
-					f = nil
-				} else if f == nil {
-					f = NewField(site)
-				} else {
-					f.X0, f.Y0 = site.X-site.R, site.Y-site.R
-					f.Reset()
-				}
-				_, cells := lay.bboxBytes(site)
-				// The per-threat driver still runs serially on this worker,
-				// but different threats' drivers now overlap across workers.
-				wt.Compute(int64(cells) * c.SerialOpsPerCell)
-
-				side := 2*site.R + 1
-				// Parallel reset of this worker's temp.
-				threads.ParChunks(wt, s.Name+" hreset", side, mergeChunks, func(ct *machine.Thread, ch, lo, hi int) {
-					if hi > lo {
-						lay.chargePass(ct, temp, uint64(lo*side)*4, (hi-lo)*side, 0, 1, 0)
-					}
-				})
-				// Parallel ray sectors into temp.
-				fan := NumRays(site.R)
-				threads.ParChunks(wt, s.Name+" hsectors", fan, sectors, func(ct *machine.Thread, ch, lo, hi int) {
-					lay.TraceSectorCharged(ct, site, f, temp, 0, lo, hi)
-				})
-				// Block-locked minimize (threats overlap across workers).
-				fx0, fy0 := site.X-site.R, site.Y-site.R
-				bx0, bx1 := fx0/blockSize, (site.X+site.R)/blockSize
-				by0, by1 := fy0/blockSize, (site.Y+site.R)/blockSize
-				for by := by0; by <= by1; by++ {
-					for bx := bx0; bx <= bx1; bx++ {
-						l := locks[by*blocks+bx]
-						l.Lock(wt)
-						out.Blocks++
-						x0, x1 := maxI(bx*blockSize, fx0), minI((bx+1)*blockSize, fx0+side)
-						y0, y1 := maxI(by*blockSize, fy0), minI((by+1)*blockSize, fy0+side)
-						overlap := (x1 - x0) * (y1 - y0)
-						if overlap > 0 {
-							boff := uint64(y0*s.Grid.W+x0) * 4
-							lay.chargePass(wt, lay.Mask, boff, overlap, 1, 1, c.OpsPerMergeCell)
-							lay.chargePass(wt, temp, 0, overlap, 1, 0, 0)
-							if !lay.ChargeOnly {
-								for y := y0; y < y1; y++ {
-									out.Masking.MergeRowRange(f, y-f.Y0, x0, x1)
-								}
-							}
-						}
-						l.Unlock(wt)
-					}
-				}
-			}
-		})
-	}
-	t.JoinAll(ts)
-	return out
+	return lay.crew(t, workers, blocks, func(wt *machine.Thread, site *ThreatSite, f *Field, temp *mem.Region) {
+		lay.fillParallel(wt, site, f, temp, sectors, mergeChunks)
+	})
 }

@@ -5,10 +5,13 @@
 // parallelization pragmas and futures.
 //
 // ParChunks is the paper's Program 2 pattern: a "#pragma multithreaded"
-// outer loop over chunk subranges. DynamicFor is Program 4's dynamic work
-// queue ("while (unprocessed threats) { threat = next unprocessed threat;
-// … }"). Future is the Tera future construct: explicit thread creation with
-// a full/empty synchronization variable carrying the result.
+// outer loop over chunk subranges. Future is the Tera future construct:
+// explicit thread creation with a full/empty synchronization variable
+// carrying the result. Program 4's dynamic work queue ("while (unprocessed
+// threats) { threat = next unprocessed threat; … }") lives with its only
+// user, Terrain Masking's coarse and hybrid variants, which spawn every
+// worker and give each one a private temp array even when workers outnumber
+// threats.
 //
 // Everything is built on *machine.Thread, so the cost of each construct is
 // whatever the underlying platform charges: near-free on the Tera MTA model,
@@ -42,45 +45,6 @@ func ParChunks(t *machine.Thread, name string, n, chunks int, body func(c *machi
 		lo, hi := ChunkBounds(n, chunks, c)
 		ts[c] = t.Go(fmt.Sprintf("%s[%d]", name, c), func(th *machine.Thread) {
 			body(th, c, lo, hi)
-		})
-	}
-	t.JoinAll(ts)
-}
-
-// ParDo runs each function on its own thread and waits for all of them.
-func ParDo(t *machine.Thread, name string, fns ...func(*machine.Thread)) {
-	ts := make([]*machine.Thread, len(fns))
-	for i, fn := range fns {
-		ts[i] = t.Go(fmt.Sprintf("%s[%d]", name, i), fn)
-	}
-	t.JoinAll(ts)
-}
-
-// DynamicFor processes items 0..n-1 with the given number of worker
-// threads, each repeatedly claiming the next unprocessed item from a shared
-// atomic counter. This is the paper's coarse-grained Terrain Masking
-// structure and load-balances uneven item costs.
-func DynamicFor(t *machine.Thread, name string, n, workers int, body func(c *machine.Thread, item int)) {
-	if workers < 1 {
-		panic("threads: DynamicFor with no workers: " + name)
-	}
-	if workers > n {
-		workers = n
-	}
-	if n <= 0 {
-		return
-	}
-	next := t.NewCounter(name+" next", 0)
-	ts := make([]*machine.Thread, workers)
-	for w := 0; w < workers; w++ {
-		ts[w] = t.Go(fmt.Sprintf("%s[w%d]", name, w), func(th *machine.Thread) {
-			for {
-				item := next.Next(th)
-				if item >= int64(n) {
-					return
-				}
-				body(th, int(item))
-			}
 		})
 	}
 	t.JoinAll(ts)

@@ -2,7 +2,6 @@ package threads
 
 import (
 	"math/rand"
-	"sort"
 	"testing"
 	"testing/quick"
 
@@ -116,91 +115,6 @@ func TestParChunksPanicsOnZeroChunks(t *testing.T) {
 	})
 }
 
-func TestParDo(t *testing.T) {
-	var ran [3]bool
-	onMTA(t, func(th *machine.Thread) {
-		ParDo(th, "trio",
-			func(c *machine.Thread) { ran[0] = true },
-			func(c *machine.Thread) { ran[1] = true },
-			func(c *machine.Thread) { ran[2] = true },
-		)
-	})
-	for i, r := range ran {
-		if !r {
-			t.Errorf("fn %d did not run", i)
-		}
-	}
-}
-
-func TestDynamicForExactCoverage(t *testing.T) {
-	const n = 57
-	var items []int
-	onMTA(t, func(th *machine.Thread) {
-		DynamicFor(th, "q", n, 8, func(c *machine.Thread, item int) {
-			items = append(items, item)
-		})
-	})
-	if len(items) != n {
-		t.Fatalf("processed %d items, want %d", len(items), n)
-	}
-	sort.Ints(items)
-	for i, it := range items {
-		if it != i {
-			t.Fatalf("items = %v: missing or duplicated work", items)
-		}
-	}
-}
-
-func TestDynamicForLoadBalances(t *testing.T) {
-	// One expensive item plus many cheap ones on 4 workers: makespan must be
-	// far below the serial sum (the expensive item overlaps the cheap ones).
-	costs := make([]int64, 40)
-	for i := range costs {
-		costs[i] = 1000
-	}
-	costs[0] = 40_000
-	var serial int64
-	for _, c := range costs {
-		serial += c
-	}
-	res := onMTA(t, func(th *machine.Thread) {
-		DynamicFor(th, "q", len(costs), 4, func(c *machine.Thread, item int) {
-			c.Compute(costs[item])
-		})
-	})
-	// The makespan is bounded below by the critical path: the expensive item
-	// runs on one stream capped at 1/21 instr/cycle. Good load balancing
-	// finishes close to that bound; a bad static split would serialize the
-	// cheap items behind it on the same worker.
-	p := mta.DefaultParams(1)
-	critical := float64(costs[0]) / p.OpsPerInstr * p.IssueGap
-	if res.Stats.Cycles > critical*1.1 {
-		t.Errorf("cycles = %v, want ≤ %v (load balancing)", res.Stats.Cycles, critical*1.1)
-	}
-	serialAtCap := float64(serial) / p.OpsPerInstr * p.IssueGap
-	if res.Stats.Cycles > serialAtCap/1.5 {
-		t.Errorf("cycles = %v, not meaningfully parallel vs serial %v", res.Stats.Cycles, serialAtCap)
-	}
-}
-
-func TestDynamicForWorkersClampedToItems(t *testing.T) {
-	count := 0
-	onMTA(t, func(th *machine.Thread) {
-		DynamicFor(th, "q", 2, 50, func(c *machine.Thread, item int) { count++ })
-	})
-	if count != 2 {
-		t.Errorf("count = %d, want 2", count)
-	}
-}
-
-func TestDynamicForEmpty(t *testing.T) {
-	onMTA(t, func(th *machine.Thread) {
-		DynamicFor(th, "q", 0, 4, func(c *machine.Thread, item int) {
-			t.Error("body ran for empty range")
-		})
-	})
-}
-
 func TestFutureValue(t *testing.T) {
 	onMTA(t, func(th *machine.Thread) {
 		f := Spawn(th, "f", func(c *machine.Thread) int64 {
@@ -261,15 +175,14 @@ func TestConstructsWorkOnSMPToo(t *testing.T) {
 		ParChunks(th, "loop", 64, 4, func(c *machine.Thread, chunk, lo, hi int) {
 			total += hi - lo
 		})
-		DynamicFor(th, "q", 10, 3, func(c *machine.Thread, item int) { total++ })
 		f := Spawn(th, "f", func(c *machine.Thread) int64 { return 5 })
 		total += int(f.Force(th))
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if total != 64+10+5 {
-		t.Errorf("total = %d, want 79", total)
+	if total != 64+5 {
+		t.Errorf("total = %d, want 69", total)
 	}
 }
 
@@ -326,35 +239,6 @@ func TestPropertyReduceEquivalence(t *testing.T) {
 			return false
 		}
 		return gotSum == wantSum && gotMax == wantMax
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
-		t.Error(err)
-	}
-}
-
-// Property: DynamicFor and ParChunks process identical item sets for random
-// sizes and worker counts.
-func TestPropertyDynamicForCoverage(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := rng.Intn(150)
-		workers := 1 + rng.Intn(12)
-		seen := make([]int, n)
-		e := mta.New(mta.Params{Procs: 2})
-		_, err := e.Run("main", func(th *machine.Thread) {
-			DynamicFor(th, "q", n, workers, func(c *machine.Thread, item int) {
-				seen[item]++
-			})
-		})
-		if err != nil {
-			return false
-		}
-		for _, s := range seen {
-			if s != 1 {
-				return false
-			}
-		}
-		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Error(err)
