@@ -13,7 +13,7 @@
 //	c3ibench -run table5           # one experiment
 //	c3ibench -run table5,table6    # several
 //	c3ibench -all                  # everything, in paper order
-//	c3ibench -all -jobs 4          # same results, computed by 4 parallel workers
+//	c3ibench -all -jobs 4          # same results, 4 cells of each table at once
 //	c3ibench -all -md              # markdown output
 //	c3ibench -run table5 -json     # machine-readable run records (CI artifact)
 //	c3ibench -scale-ta 0.5 ...     # bigger Threat Analysis workload
@@ -21,7 +21,7 @@
 //	c3ibench -all -remote http://host:8642
 //	                               # same tables, Specs executed by a c3iserve
 //	                               # process (and its record store) instead of
-//	                               # in-process
+//	                               # in-process, one batch per table
 //	c3ibench -run ro-streams -cpuprofile cpu.out -memprofile mem.out
 //	                               # profile the engine hot paths under a real
 //	                               # sweep (go tool pprof cpu.out)
@@ -38,14 +38,16 @@
 //	                               # counters) after the sweep; -stats FILE
 //	                               # writes it to FILE (the CI artifact)
 //
-// Results always print in the requested order, whatever -jobs is. The exit
-// status is non-zero if any requested experiment ID is unknown or any
-// experiment fails; the remaining experiments still run, so one broken table
-// does not hide the rest of an -all sweep. In -json mode the emitted envelope
-// carries an explicit `failed` manifest naming those experiments, so a
-// consumer gating on the artifact can tell a complete sweep from a partial
-// one. Invalid flag values (a non-positive -jobs or -scale-*) are usage
-// errors: exit 2, naming the flag.
+// Experiments run one after another in the requested order, each printed as
+// it finishes; -jobs sets how many of an experiment's cells run at once and
+// changes no output. The exit status is non-zero if any requested
+// experiment ID is unknown or any experiment fails; the remaining
+// experiments still run, so one broken table does not hide the rest of an
+// -all sweep. In -json mode the emitted envelope carries an explicit
+// `failed` manifest naming those experiments, so a consumer gating on the
+// artifact can tell a complete sweep from a partial one. Invalid flag values
+// (a non-positive -jobs or -scale-*) are usage errors: exit 2, naming the
+// flag.
 package main
 
 import (
