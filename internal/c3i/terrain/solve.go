@@ -291,7 +291,8 @@ func CoarseOpt(t *machine.Thread, s *Scenario, workers, blocks int, o Opt) *Outp
 // work, fills temp through fill, and minimizes temp into the shared masking
 // array one block at a time under that block's lock (blocks×blocks locks
 // over the terrain). Every worker is spawned and allocates its temp array
-// even when workers outnumber threats, as the paper's program does.
+// even when workers outnumber threats; Table 10's cells with more workers
+// than threat sites include that cost.
 func (lay *Layout) crew(t *machine.Thread, workers, blocks int,
 	fill func(wt *machine.Thread, site *ThreatSite, f *Field, temp *mem.Region)) *Output {
 
