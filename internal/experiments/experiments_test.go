@@ -652,6 +652,101 @@ func TestBatchExecutorSeesOneRunAllPerExperiment(t *testing.T) {
 	}
 }
 
+func TestRunManyParallelMatchesSerial(t *testing.T) {
+	// Running each experiment's cells four at a time must reproduce the
+	// serial run's tables, figures and Records (host time aside), experiment
+	// by experiment; an unknown ID fails on its own and the experiments after
+	// it still run.
+	ids := []string{"table1", "table2", "table5", "autopar", "no-such-experiment", "ro-sequential"}
+	sweep := func(jobs int) (rendered, records map[string]string) {
+		rendered, records = map[string]string{}, map[string]string{}
+		cfg := Config{Scales: testCfg.Scales, Executor: run.NewRunner(jobs)}
+		for _, id := range ids {
+			e, err := Get(id)
+			if id == "no-such-experiment" {
+				if err == nil {
+					t.Errorf("unknown ID %q did not error", id)
+				}
+				continue
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := e.Run(cfg)
+			if err != nil {
+				t.Fatalf("%s with %d jobs: %v", id, jobs, err)
+			}
+			for i := range res.Records {
+				res.Records[i].HostElapsed = 0
+			}
+			buf, err := json.Marshal(res.Records)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rendered[id], records[id] = render(res), string(buf)
+		}
+		return rendered, records
+	}
+	serialOut, serialRecs := sweep(1)
+	parallelOut, parallelRecs := sweep(4)
+	if len(serialOut) != len(ids)-1 || len(parallelOut) != len(ids)-1 {
+		t.Fatalf("ran %d serial and %d parallel experiments, want %d each",
+			len(serialOut), len(parallelOut), len(ids)-1)
+	}
+	for id := range serialOut {
+		if serialOut[id] != parallelOut[id] {
+			t.Errorf("%s: parallel output differs from serial", id)
+		}
+		if serialRecs[id] != parallelRecs[id] {
+			t.Errorf("%s: parallel Records differ from serial", id)
+		}
+	}
+}
+
+func TestRunManyConcurrentSweep(t *testing.T) {
+	// Experiments that share summary cells run concurrently on one Runner,
+	// whose single-flight caches execute each distinct cell once; every
+	// table must still materialize, and a shared cell reads the same in
+	// every experiment that declares it.
+	if testing.Short() {
+		t.Skip("concurrent sweep is slow")
+	}
+	ids := []string{"table2", "table5", "table6", "table7", "ablation-streams"}
+	runner := run.NewRunner(0)
+	cfg := Config{Scales: testCfg.Scales, Executor: runner}
+	results := make([]*Result, len(ids))
+	errs := make([]error, len(ids))
+	var wg sync.WaitGroup
+	for i, id := range ids {
+		e := Get2(t, id)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			results[i], errs[i] = e.Run(cfg)
+		}()
+	}
+	wg.Wait()
+	seconds := map[string]float64{}
+	for i, id := range ids {
+		if errs[i] != nil {
+			t.Fatalf("%s: %v", id, errs[i])
+		}
+		res := results[i]
+		if len(res.Tables) == 0 || len(res.Tables[0].Rows) == 0 {
+			t.Errorf("%s: empty result", id)
+		}
+		for _, rec := range res.Records {
+			if s, ok := seconds[rec.Key]; ok && s != rec.PaperSeconds {
+				t.Errorf("%s: cell %s reads %g s, another experiment read %g s", id, rec.Key, rec.PaperSeconds, s)
+			}
+			seconds[rec.Key] = rec.PaperSeconds
+		}
+	}
+	if got := runner.Executions(); got != int64(len(seconds)) {
+		t.Errorf("%d engine runs for %d distinct cells, want one each", got, len(seconds))
+	}
+}
+
 func TestDefaultConfigCoversRegistry(t *testing.T) {
 	cfg := DefaultConfig()
 	for _, name := range []string{TA, TM, RO, PT} {
