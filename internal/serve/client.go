@@ -196,8 +196,10 @@ func retryAfterDelay(retryAfter string, now time.Time) (time.Duration, bool) {
 // post issues one idempotent batch POST with the retry policy. It returns
 // the first non-retryable response, the final retryable response once
 // attempts are exhausted, or the final transport error; the caller still
-// interprets the response status.
-func (c *Client) post(ctx context.Context, path string, body []byte) (*http.Response, error) {
+// interprets the response status. With retryBusy false a 429 is handed back
+// at once: RunAll splits a rejected batch of several Specs instead of
+// resending it unchanged.
+func (c *Client) post(ctx context.Context, path string, body []byte, retryBusy bool) (*http.Response, error) {
 	base := c.RetryBackoff
 	if base <= 0 {
 		base = DefaultRetryBackoff
@@ -212,7 +214,8 @@ func (c *Client) post(ctx context.Context, path string, body []byte) (*http.Resp
 		}
 		req.Header.Set("Content-Type", "application/json")
 		resp, rerr := c.httpClient().Do(req)
-		if rerr == nil && !retryableStatus(resp.StatusCode) {
+		if rerr == nil && (!retryableStatus(resp.StatusCode) ||
+			!retryBusy && resp.StatusCode == http.StatusTooManyRequests) {
 			return resp, nil
 		}
 		// Out of attempts (or the context is gone): hand back whatever this
@@ -255,11 +258,16 @@ func (c *Client) Run(ctx context.Context, spec run.Spec) (run.Record, error) {
 // transport errors, 5xx and 429 are retried per the Client's retry policy
 // before any error is reported.
 func (c *Client) RunBatch(ctx context.Context, specs []run.Spec) (BatchResponse, error) {
+	return c.runBatch(ctx, specs, true)
+}
+
+// runBatch is RunBatch with the choice of retrying a 429 (see post).
+func (c *Client) runBatch(ctx context.Context, specs []run.Spec, retryBusy bool) (BatchResponse, error) {
 	body, err := json.Marshal(specs)
 	if err != nil {
 		return BatchResponse{}, fmt.Errorf("serve: encoding batch: %w", err)
 	}
-	resp, err := c.post(ctx, RunPath, body)
+	resp, err := c.post(ctx, RunPath, body, retryBusy)
 	if err != nil {
 		return BatchResponse{}, fmt.Errorf("serve: %s: %w", c.Addr, err)
 	}
@@ -294,7 +302,7 @@ func (c *Client) RunStream(ctx context.Context, specs []run.Spec, fn func(Stream
 	if err != nil {
 		return fmt.Errorf("serve: encoding batch: %w", err)
 	}
-	resp, err := c.post(ctx, StreamPath, body)
+	resp, err := c.post(ctx, StreamPath, body, true)
 	if err != nil {
 		return fmt.Errorf("serve: %s: %w", c.Addr, err)
 	}
@@ -308,17 +316,18 @@ func (c *Client) RunStream(ctx context.Context, specs []run.Spec, fn func(Stream
 
 // RunAll executes a Spec batch remotely and returns records positionally,
 // mirroring run.Runner.RunAll: the returned error joins every per-spec
-// failure, and successful entries are valid regardless. A batch the server
-// still answers with 429 after the retries (a whole sweep can outgrow a
-// server's bounded queue however often it is retried) is split: RunAll
-// halves the sub-batch size until the server admits it, down to one Spec per
-// request, so the same sweep runs against any fleet configuration.
+// failure, and successful entries are valid regardless. A batch of several
+// Specs that the server answers with 429 is split at once, not retried (a
+// batch larger than a server's bounded queue is rejected however often it
+// is resent): RunAll halves the sub-batch size until the server admits it
+// and keeps that size for the rest of the batch. A single Spec's 429 gets
+// the usual retries, so the same sweep runs against any fleet configuration.
 func (c *Client) RunAll(ctx context.Context, specs []run.Spec) ([]run.Record, error) {
 	recs := make([]run.Record, len(specs))
 	var errs []error
 	for lo, size := 0, len(specs); lo < len(specs); {
 		hi := min(lo+size, len(specs))
-		br, err := c.RunBatch(ctx, specs[lo:hi])
+		br, err := c.runBatch(ctx, specs[lo:hi], size == 1)
 		var se *StatusError
 		if errors.As(err, &se) && se.Code == http.StatusTooManyRequests && size > 1 {
 			size = (size + 1) / 2

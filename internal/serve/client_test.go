@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/run"
 	"repro/internal/serve"
 )
@@ -168,11 +169,11 @@ func TestClientStatusError(t *testing.T) {
 	}
 }
 
-// admissionServer answers 429 to any batch of more than cap Specs, as a
-// c3iserve whose pool queue is smaller than a whole sweep does, and echoes
-// each admitted Spec's key otherwise. It records the sizes of the batches it
-// rejected and admitted.
-func admissionServer(t *testing.T, cap int) (ts *httptest.Server, rejected, admitted *[]int) {
+// admissionServer answers 429 with the given Retry-After to any batch of
+// more than cap Specs, as a c3iserve whose pool queue is smaller than a whole
+// sweep does, and echoes each admitted Spec's key otherwise. It records the
+// sizes of the batches it rejected and admitted.
+func admissionServer(t *testing.T, cap int, retryAfter string) (ts *httptest.Server, rejected, admitted *[]int) {
 	t.Helper()
 	var mu sync.Mutex
 	rejected, admitted = new([]int), new([]int)
@@ -191,6 +192,7 @@ func admissionServer(t *testing.T, cap int) (ts *httptest.Server, rejected, admi
 		}
 		mu.Unlock()
 		if full {
+			w.Header().Set("Retry-After", retryAfter)
 			http.Error(w, "pool queue is full", http.StatusTooManyRequests)
 			return
 		}
@@ -205,15 +207,18 @@ func admissionServer(t *testing.T, cap int) (ts *httptest.Server, rejected, admi
 }
 
 func TestClientRunAllShrinksBatchesUntilAdmitted(t *testing.T) {
-	// 81 specs against a server that admits at most 6 at a time: RunAll
-	// must halve 81→41→21→11→6 and then deliver every record, in order.
+	// 81 specs against a server that admits at most 6 at a time and asks
+	// for the Retry-After c3iserve sends: RunAll must halve 81→41→21→11→6
+	// on the first 429 of each size, without retrying or waiting, and then
+	// deliver every record, in order.
 	specs := make([]run.Spec, 81)
 	for i := range specs {
 		specs[i] = run.Spec{Workload: "w", Variant: "v", Platform: "alpha",
 			Procs: 1, Scale: float64(i+1) / 100}
 	}
-	ts, rejected, admitted := admissionServer(t, 6)
-	cl := &serve.Client{Addr: ts.URL, HTTP: ts.Client(), RetryBackoff: time.Millisecond}
+	ts, rejected, admitted := admissionServer(t, 6, "1")
+	reg := obs.NewRegistry()
+	cl := &serve.Client{Addr: ts.URL, HTTP: ts.Client(), Metrics: reg}
 	recs, err := cl.RunAll(context.Background(), specs)
 	if err != nil {
 		t.Fatal(err)
@@ -226,21 +231,66 @@ func TestClientRunAllShrinksBatchesUntilAdmitted(t *testing.T) {
 			t.Fatalf("record %d out of order: %q", i, rec.Key)
 		}
 	}
-	// Each size is rejected once per attempt, retries included.
-	if got, want := slices.Compact(*rejected), []int{81, 41, 21, 11}; !slices.Equal(got, want) {
-		t.Errorf("rejected batch sizes %v, want %v", got, want)
+	if got, want := *rejected, []int{81, 41, 21, 11}; !slices.Equal(got, want) {
+		t.Errorf("rejected batch sizes %v, want %v (each size once)", got, want)
 	}
 	want := []int{6, 6, 6, 6, 6, 6, 6, 6, 6, 6, 6, 6, 6, 3}
 	if !slices.Equal(*admitted, want) {
 		t.Errorf("admitted batches %v, want %v (81 halved to 6)", *admitted, want)
 	}
+	retries := reg.Counter(serve.MetricClientRetries, obs.Labels{"path": serve.RunPath, "reason": "status"}).Value()
+	if retries != 0 {
+		t.Errorf("%d retries, want 0: a rejected batch of several Specs is halved, not resent", retries)
+	}
 
-	// A 429 for a single Spec is a real failure, not an admission loop.
-	ts, _, _ = admissionServer(t, 0)
+	// A 429 for a single Spec is retried like any busy answer, then
+	// surfaced: it is a real failure, not an admission loop.
+	ts, rejected, _ = admissionServer(t, 0, "0")
 	cl = &serve.Client{Addr: ts.URL, HTTP: ts.Client(), RetryBackoff: time.Millisecond}
 	_, err = cl.RunAll(context.Background(), specs[:2])
 	var se *serve.StatusError
 	if !errors.As(err, &se) || se.Code != http.StatusTooManyRequests {
 		t.Errorf("cap 0: err = %v, want the 429 surfaced", err)
+	}
+	if got, want := *rejected, []int{2, 1, 1, 1, 1}; !slices.Equal(got, want) {
+		t.Errorf("cap 0: rejected batch sizes %v, want %v (one Spec tried 1+%d times)",
+			got, want, serve.DefaultRetries)
+	}
+}
+
+func TestClientRunAllSplitsBatchLargerThanQueue(t *testing.T) {
+	// A real server with one worker and a two-Spec queue cannot admit a
+	// 40-Spec batch whole: RunAll splits it until the pool takes it and
+	// returns the same Records a local Runner computes, in order.
+	runner := run.NewRunner(0)
+	srv := serve.New(runner, serve.Options{WorkersPerWorkload: 1, QueueDepth: 2})
+	ts := httptest.NewServer(srv)
+	defer func() {
+		ts.Close()
+		srv.Close()
+	}()
+	specs := make([]run.Spec, 40)
+	for i := range specs {
+		specs[i] = hookSpec(1000 + i)
+	}
+	client := &serve.Client{Addr: ts.URL, HTTP: ts.Client()}
+	recs, err := client.RunAll(context.Background(), specs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := run.NewRunner(1).RunAll(context.Background(), specs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range specs {
+		if recs[i].Key != want[i].Key || recs[i].Checksum != want[i].Checksum ||
+			recs[i].ModelSeconds != want[i].ModelSeconds {
+			t.Errorf("record %d = %s/%v/%g, want %s/%v/%g", i, recs[i].Key, recs[i].Checksum,
+				recs[i].ModelSeconds, want[i].Key, want[i].Checksum, want[i].ModelSeconds)
+		}
+	}
+	rejected := runner.Metrics().Counter(serve.MetricRejected, obs.Labels{"workload": "serve-hook"}).Value()
+	if rejected == 0 {
+		t.Error("the server admitted the whole batch; the queue bound was not exercised")
 	}
 }
