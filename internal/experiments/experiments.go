@@ -242,10 +242,3 @@ func coarseOverheadFullScaleGB(workload string, workers int) float64 {
 	}
 	return float64(v.OverheadFullScale(workers)) / float64(1<<30)
 }
-
-// ResetCaches drops the shared Runner's memoized workloads and results
-// (tests and the per-iteration benchmark harness use this to control memory
-// and measurement).
-func ResetCaches() {
-	sharedRunner.Reset()
-}
