@@ -21,7 +21,8 @@
 //	c3ibench -all -remote http://host:8642
 //	                               # same tables, Specs executed by a c3iserve
 //	                               # process (and its record store) instead of
-//	                               # in-process, one batch per table
+//	                               # in-process, one batch per table (halved
+//	                               # while the server's queue rejects it)
 //	c3ibench -run ro-streams -cpuprofile cpu.out -memprofile mem.out
 //	                               # profile the engine hot paths under a real
 //	                               # sweep (go tool pprof cpu.out)
@@ -40,7 +41,8 @@
 //
 // Experiments run one after another in the requested order, each printed as
 // it finishes; -jobs sets how many of an experiment's cells run at once and
-// changes no output. The exit status is non-zero if any requested
+// changes no output. With -remote, -jobs has no effect: the server's worker
+// pools decide how many cells run at once. The exit status is non-zero if any requested
 // experiment ID is unknown or any experiment fails; the remaining
 // experiments still run, so one broken table does not hide the rest of an
 // -all sweep. In -json mode the emitted envelope carries an explicit
@@ -83,11 +85,11 @@ func c3ibench(args []string, stdout, stderr io.Writer) int {
 		list    = fs.Bool("list", false, "list registered workloads, variants and experiment IDs, then exit")
 		runIDs  = fs.String("run", "", "comma-separated experiment IDs to run")
 		all     = fs.Bool("all", false, "run every experiment in paper order")
-		jobs    = fs.Int("jobs", 1, "number of cells run at once (results and their order do not depend on it)")
+		jobs    = fs.Int("jobs", 1, "number of cells run at once (results and their order do not depend on it); ignored with -remote, where the server's worker pools set it")
 		md      = fs.Bool("md", false, "emit Markdown instead of ASCII tables")
 		jsonOut = fs.Bool("json", false, "emit the raw run records as JSON instead of rendered tables/figures")
 		text    = fs.Bool("text", true, "include free-text output (compiler feedback)")
-		remote  = fs.String("remote", "", "execute run Specs against a c3iserve or c3irouter endpoint (base URL) instead of in-process, one batch per table")
+		remote  = fs.String("remote", "", "execute run Specs against a c3iserve or c3irouter endpoint (base URL) instead of in-process, one batch per table, halved while the server answers 429")
 		grid    = fs.String("grid", "", `sweep a workload's declared scenario grid: "workload" or "workload=axis:v1,v2[;axis:...]"`)
 		gridVar = fs.String("grid-variant", "", "variant for -grid (default: the workload's reference variant)")
 		gridPlt = fs.String("grid-platform", "tera", "platform key for -grid")
