@@ -327,10 +327,11 @@ func (c *Client) RunAll(ctx context.Context, specs []run.Spec) ([]run.Record, er
 	var errs []error
 	for lo, size := 0, len(specs); lo < len(specs); {
 		hi := min(lo+size, len(specs))
-		br, err := c.runBatch(ctx, specs[lo:hi], size == 1)
+		n := hi - lo
+		br, err := c.runBatch(ctx, specs[lo:hi], n == 1)
 		var se *StatusError
-		if errors.As(err, &se) && se.Code == http.StatusTooManyRequests && size > 1 {
-			size = (size + 1) / 2
+		if n > 1 && errors.As(err, &se) && se.Code == http.StatusTooManyRequests {
+			size = (n + 1) / 2
 			continue
 		}
 		if err != nil {
