@@ -42,14 +42,14 @@
 // Experiments run one after another in the requested order, each printed as
 // it finishes; -jobs sets how many of an experiment's cells run at once and
 // changes no output. With -remote, -jobs has no effect: the server's worker
-// pools decide how many cells run at once. The exit status is non-zero if any requested
-// experiment ID is unknown or any experiment fails; the remaining
-// experiments still run, so one broken table does not hide the rest of an
-// -all sweep. In -json mode the emitted envelope carries an explicit
-// `failed` manifest naming those experiments, so a consumer gating on the
-// artifact can tell a complete sweep from a partial one. Invalid flag values
-// (a non-positive -jobs or -scale-*) are usage errors: exit 2, naming the
-// flag.
+// pools decide how many cells run at once. The exit status is non-zero if
+// any requested experiment ID is unknown or any experiment fails; the
+// remaining experiments still run, so one broken table does not hide the
+// rest of an -all sweep. In -json mode the emitted envelope carries an
+// explicit `failed` manifest naming those experiments, so a consumer gating
+// on the artifact can tell a complete sweep from a partial one. Invalid flag
+// values (a non-positive -jobs or -scale-*) are usage errors: exit 2, naming
+// the flag.
 package main
 
 import (
