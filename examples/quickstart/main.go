@@ -17,19 +17,21 @@ import (
 	"repro/internal/threads"
 )
 
-// program sums 1..n in parallel chunks and returns the simulated result.
+// program sums 1..n in parallel chunks, each chunk into its own slot, and
+// adds the slots once every chunk has joined.
 func program(n, chunks int) func(t *machine.Thread) {
 	return func(t *machine.Thread) {
-		total := threads.Reduce(t, "sum", n, chunks, 0,
-			func(c *machine.Thread, lo, hi int) int64 {
-				var s int64
-				for i := lo; i < hi; i++ {
-					s += int64(i + 1)
-				}
-				c.Compute(int64(3 * (hi - lo))) // load, add, loop per element
-				return s
-			},
-			func(a, b int64) int64 { return a + b })
+		sums := make([]int64, chunks)
+		threads.ParChunks(t, "sum", n, chunks, func(c *machine.Thread, chunk, lo, hi int) {
+			for i := lo; i < hi; i++ {
+				sums[chunk] += int64(i + 1)
+			}
+			c.Compute(int64(3 * (hi - lo))) // load, add, loop per element
+		})
+		var total int64
+		for _, s := range sums {
+			total += s
+		}
 		fmt.Printf("    sum(1..%d) = %d\n", n, total)
 	}
 }

@@ -342,11 +342,9 @@ func FineWithCosts(t *machine.Thread, s *Scenario, threadsN int, p Params, c Cos
 	out := &Output{}
 	scores := make([]int64, len(s.Hyps))
 
-	nth := (len(s.Obs) + fineClaim - 1) / fineClaim
-	if nth > threadsN {
-		nth = threadsN
-	}
-	if nth <= 1 {
+	// A crowd of at most one thread scores on the caller, as Claim would,
+	// but before any guard word is created: nothing contends for the scores.
+	if min((len(s.Obs)+fineClaim-1)/fineClaim, threadsN) <= 1 {
 		out.Gated = lay.scoreSpan(t, s.Obs, p.Gate, scores, lay.Scores)
 		return lay.finish(t, scores, p.Prune, out)
 	}
@@ -360,29 +358,9 @@ func FineWithCosts(t *machine.Thread, s *Scenario, threadsN int, p Params, c Cos
 		stripes[i].Write(t, 0)
 	}
 
-	claim := t.NewCounter(s.Name+" claim", 0)
-	gatedBy := make([]int64, nth)
-	ws := make([]*machine.Thread, nth)
-	for i := 0; i < nth; i++ {
-		i := i
-		ws[i] = t.Go(fmt.Sprintf("%s score[%d]", s.Name, i), func(ct *machine.Thread) {
-			for {
-				k := int(claim.Add(ct, fineClaim))
-				if k >= len(s.Obs) {
-					return
-				}
-				hi := k + fineClaim
-				if hi > len(s.Obs) {
-					hi = len(s.Obs)
-				}
-				gatedBy[i] += lay.fineSpan(ct, s.Obs[k:hi], p.Gate, scores, stripes)
-			}
-		})
-	}
-	t.JoinAll(ws)
-	for _, g := range gatedBy {
-		out.Gated += g
-	}
+	threads.Claim(t, s.Name+" score", len(s.Obs), fineClaim, threadsN, func(ct *machine.Thread, lo, hi int) {
+		out.Gated += lay.fineSpan(ct, s.Obs[lo:hi], p.Gate, scores, stripes)
+	})
 	return lay.finish(t, scores, p.Prune, out)
 }
 

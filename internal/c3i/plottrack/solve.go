@@ -453,42 +453,21 @@ func CoarseWithCosts(t *machine.Thread, s *Scenario, workers int, p Params, c Co
 	}
 
 	// Round hand-off state: the parent publishes the frame's auction and the
-	// work list, both sides meet at the barrier, workers bid and commit, and
-	// everyone meets again.
+	// work list, and each crew round gates it or bids and commits it.
 	var (
 		a      *auction
 		cur    []int32
 		gating bool
-		done   bool
 	)
 	eps := int64(p.Epsilon)
-	bar := t.NewBarrier(s.Name+" round", workers+1)
 	staged := make([][]stagedBid, workers)
-	ws := make([]*machine.Thread, workers)
-	for w := 0; w < workers; w++ {
-		w := w
-		ws[w] = t.Go(fmt.Sprintf("%s worker[%d]", s.Name, w), func(wt *machine.Thread) {
-			for {
-				bar.Arrive(wt)
-				if done {
-					return
-				}
-				lo, hi := threads.ChunkBounds(len(cur), workers, w)
-				if lo < hi {
-					if gating {
-						lay.gateChunk(wt, a, p.Gate, cur[lo:hi])
-					} else {
-						out.Bids += lay.coarseChunk(wt, a, eps, cur[lo:hi], priv[w], &staged[w], locks)
-					}
-				}
-				bar.Arrive(wt)
-			}
-		})
-	}
-	round := func() {
-		bar.Arrive(t) // release the crew on this work list
-		bar.Arrive(t) // wait for the commits to complete
-	}
+	crew := threads.NewCrew(t, s.Name+" worker", workers, func(wt *machine.Thread, w, lo, hi int) {
+		if gating {
+			lay.gateChunk(wt, a, p.Gate, cur[lo:hi])
+		} else {
+			out.Bids += lay.coarseChunk(wt, a, eps, cur[lo:hi], priv[w], &staged[w], locks)
+		}
+	})
 
 	for _, frame := range s.Frames {
 		a = newAuction(s, p.Gate, frame)
@@ -497,7 +476,7 @@ func CoarseWithCosts(t *machine.Thread, s *Scenario, workers int, p Params, c Co
 			cur = append(cur, int32(i))
 		}
 		gating = true
-		round()
+		crew.Round(t, len(cur))
 		gating = false
 		for nRounds := 0; len(cur) > 0; nRounds++ {
 			if p.Rounds > 0 && nRounds >= p.Rounds {
@@ -505,7 +484,7 @@ func CoarseWithCosts(t *machine.Thread, s *Scenario, workers int, p Params, c Co
 			}
 			// Serial driver: work-list bookkeeping on the parent thread.
 			t.Compute(int64(len(cur))*c.SerialOpsPerPlot + 40)
-			round()
+			crew.Round(t, len(cur))
 			// Rebuild the work list: plots displaced during the commits and
 			// plots whose bids lost their race, in plot order (deterministic).
 			cur = cur[:0]
@@ -517,9 +496,7 @@ func CoarseWithCosts(t *machine.Thread, s *Scenario, workers int, p Params, c Co
 		}
 		a.finish(out)
 	}
-	done = true
-	bar.Arrive(t)
-	t.JoinAll(ws)
+	crew.Stop(t)
 	return out
 }
 
@@ -617,8 +594,8 @@ func FineWithCosts(t *machine.Thread, s *Scenario, threadsN int, p Params, c Cos
 		}
 		// Gating: the same thread crowd, claiming plot batches by
 		// fetch-and-add.
-		lay.fineRound(t, threadsN, all, func(ct *machine.Thread, plots []int32) {
-			lay.gateChunk(ct, a, p.Gate, plots)
+		threads.Claim(t, s.Name+" gate", len(all), fineClaim, threadsN, func(ct *machine.Thread, lo, hi int) {
+			lay.gateChunk(ct, a, p.Gate, all[lo:hi])
 		})
 
 		cur := all
@@ -629,47 +606,14 @@ func FineWithCosts(t *machine.Thread, s *Scenario, threadsN int, p Params, c Cos
 			t.Compute(int64(len(cur))*c.SerialOpsPerPlot + 40)
 			var next []int32
 			tail := t.NewCounter(s.Name+" tail", 0)
-			lay.fineRound(t, threadsN, cur, func(ct *machine.Thread, plots []int32) {
-				out.Bids += lay.fineSpan(ct, a, eps, plots, stripes, tail, &next)
+			threads.Claim(t, s.Name+" bid", len(cur), fineClaim, threadsN, func(ct *machine.Thread, lo, hi int) {
+				out.Bids += lay.fineSpan(ct, a, eps, cur[lo:hi], stripes, tail, &next)
 			})
 			cur = next
 		}
 		a.finish(out)
 	}
 	return out
-}
-
-// fineRound processes one work list with a crowd of claim threads: each
-// repeatedly claims fineClaim plots by fetch-and-add and hands them to body.
-func (lay *Layout) fineRound(t *machine.Thread, threadsN int, cur []int32,
-	body func(ct *machine.Thread, plots []int32)) {
-
-	nth := (len(cur) + fineClaim - 1) / fineClaim
-	if nth > threadsN {
-		nth = threadsN
-	}
-	if nth <= 1 {
-		body(t, cur)
-		return
-	}
-	claim := t.NewCounter(lay.Scenario.Name+" claim", 0)
-	ws := make([]*machine.Thread, nth)
-	for i := 0; i < nth; i++ {
-		ws[i] = t.Go(fmt.Sprintf("%s bid[%d]", lay.Scenario.Name, i), func(ct *machine.Thread) {
-			for {
-				k := int(claim.Add(ct, fineClaim))
-				if k >= len(cur) {
-					return
-				}
-				hi := k + fineClaim
-				if hi > len(cur) {
-					hi = len(cur)
-				}
-				body(ct, cur[k:hi])
-			}
-		})
-	}
-	t.JoinAll(ws)
 }
 
 // fineSpan bids for one claimed batch of plots, committing each bid through

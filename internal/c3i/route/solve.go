@@ -380,31 +380,15 @@ func CoarseWithCosts(t *machine.Thread, s *Scenario, workers, blocks, delta int,
 
 	qs := &queryState{dist: make([]int32, s.Cells())}
 
-	// Phase hand-off state: the parent publishes the wavefront, both sides
-	// meet at the barrier, workers relax and merge, and everyone meets again.
+	// Round hand-off state: the parent publishes the wavefront, and each
+	// crew round relaxes and merges it.
 	var (
 		cur  []int32
 		curB int
-		done bool
 	)
-	bar := t.NewBarrier(s.Name+" phase", workers+1)
-	ws := make([]*machine.Thread, workers)
-	for w := 0; w < workers; w++ {
-		w := w
-		ws[w] = t.Go(fmt.Sprintf("%s worker[%d]", s.Name, w), func(wt *machine.Thread) {
-			for {
-				bar.Arrive(wt)
-				if done {
-					return
-				}
-				lo, hi := threads.ChunkBounds(len(cur), workers, w)
-				if lo < hi {
-					out.Relaxed += lay.coarseChunk(wt, qs, curB, delta, cur[lo:hi], priv[w], locks, lockOf)
-				}
-				bar.Arrive(wt)
-			}
-		})
-	}
+	crew := threads.NewCrew(t, s.Name+" worker", workers, func(wt *machine.Thread, w, lo, hi int) {
+		out.Relaxed += lay.coarseChunk(wt, qs, curB, delta, cur[lo:hi], priv[w], locks, lockOf)
+	})
 
 	for _, q := range s.Queries {
 		qs.reset()
@@ -419,8 +403,7 @@ func CoarseWithCosts(t *machine.Thread, s *Scenario, workers, blocks, delta int,
 				curB = b
 				// Serial driver: bucket bookkeeping on the parent thread.
 				t.Compute(int64(len(cur))*c.SerialOpsPerNode + 40)
-				bar.Arrive(t) // release the crew on this wavefront
-				bar.Arrive(t) // wait for the merge to complete
+				crew.Round(t, len(cur))
 			}
 			if qs.dist[goal] != inf && int(qs.dist[goal])/delta <= b {
 				break // the goal's bucket has been fully processed
@@ -428,9 +411,7 @@ func CoarseWithCosts(t *machine.Thread, s *Scenario, workers, blocks, delta int,
 		}
 		out.PathCost = append(out.PathCost, int64(qs.dist[goal]))
 	}
-	done = true
-	bar.Arrive(t)
-	t.JoinAll(ws)
+	crew.Stop(t)
 	return out
 }
 
@@ -522,32 +503,9 @@ func FineWithCosts(t *machine.Thread, s *Scenario, threadsN, delta int, c Costs)
 				cur := qs.buckets[b]
 				qs.buckets[b] = nil
 				t.Compute(int64(len(cur))*c.SerialOpsPerNode + 40)
-				nth := (len(cur) + fineClaim - 1) / fineClaim
-				if nth > threadsN {
-					nth = threadsN
-				}
-				if nth <= 1 {
-					out.Relaxed += lay.fineSpan(t, qs, b, delta, cur, 0, len(cur), stripes, tail)
-					continue
-				}
-				claim := t.NewCounter(lay.Scenario.Name+" claim", 0)
-				ws := make([]*machine.Thread, nth)
-				for i := 0; i < nth; i++ {
-					ws[i] = t.Go(fmt.Sprintf("%s relax[%d]", lay.Scenario.Name, i), func(ct *machine.Thread) {
-						for {
-							k := int(claim.Add(ct, fineClaim))
-							if k >= len(cur) {
-								return
-							}
-							hi := k + fineClaim
-							if hi > len(cur) {
-								hi = len(cur)
-							}
-							out.Relaxed += lay.fineSpan(ct, qs, b, delta, cur, k, hi, stripes, tail)
-						}
-					})
-				}
-				t.JoinAll(ws)
+				threads.Claim(t, s.Name+" relax", len(cur), fineClaim, threadsN, func(ct *machine.Thread, lo, hi int) {
+					out.Relaxed += lay.fineSpan(ct, qs, b, delta, cur, lo, hi, stripes, tail)
+				})
 			}
 			if qs.dist[goal] != inf && int(qs.dist[goal])/delta <= b {
 				break

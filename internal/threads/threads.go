@@ -2,16 +2,27 @@
 // benchmark programs are written against — the reproduction's counterpart of
 // the programming systems used in the paper: the Caltech Sthreads library on
 // Windows NT, the Exemplar shared-memory pragmas, and the Tera
-// parallelization pragmas and futures.
+// parallelization pragmas and int_fetch_add self-scheduling.
 //
 // ParChunks is the paper's Program 2 pattern: a "#pragma multithreaded"
-// outer loop over chunk subranges. Future is the Tera future construct:
-// explicit thread creation with a full/empty synchronization variable
-// carrying the result. Program 4's dynamic work queue ("while (unprocessed
-// threats) { threat = next unprocessed threat; … }") lives with its only
-// user, Terrain Masking's coarse and hybrid variants, which spawn every
-// worker and give each one a private temp array even when workers outnumber
-// threats.
+// outer loop over chunk subranges, one thread per chunk. Threat Analysis's
+// chunked variant and Terrain Masking's fine-grained and merge loops use it.
+//
+// Claim is the Tera style's self-scheduled crowd: threads that repeatedly
+// claim the next few items of a work list by fetch-and-add. Route
+// Optimization, Plot-Track Assignment and Hypothesis Testing run their fine
+// variants' frontiers, rounds and observation streams through it.
+//
+// Crew is the coarse styles' persistent crew of chunk threads that meet the
+// parent at a barrier twice per round, the Sthreads and Exemplar structure.
+// The coarse variants of Route Optimization and Plot-Track Assignment keep
+// one crew across all their rounds.
+//
+// Program 4's dynamic work queue ("while (unprocessed threats) { threat =
+// next unprocessed threat; … }") stays with its only user, Terrain
+// Masking's coarse and hybrid variants. It is not a Claim: it spawns every
+// worker and gives each one a private temp array even when workers
+// outnumber threats, and Table 10's cells include that cost.
 //
 // Everything is built on *machine.Thread, so the cost of each construct is
 // whatever the underlying platform charges: near-free on the Tera MTA model,
@@ -50,49 +61,85 @@ func ParChunks(t *machine.Thread, name string, n, chunks int, body func(c *machi
 	t.JoinAll(ts)
 }
 
-// Future is an explicit thread whose int64 result is delivered through a
-// full/empty synchronization variable — the Tera futures construct.
-type Future struct {
-	th *machine.Thread
-	sv *machine.SyncVar
-}
-
-// Spawn starts fn on a new thread; its return value fills the future.
-func Spawn(t *machine.Thread, name string, fn func(*machine.Thread) int64) *Future {
-	f := &Future{sv: t.NewSyncVar("future " + name)}
-	f.th = t.Go(name, func(th *machine.Thread) {
-		f.sv.Write(th, fn(th))
-	})
-	return f
-}
-
-// Force blocks until the future's value is available and returns it. Forcing
-// more than once is allowed (the variable stays full).
-func (f *Future) Force(t *machine.Thread) int64 {
-	v := f.sv.ReadFF(t)
-	t.Join(f.th) // the thread has written its result; reap it
-	return v
-}
-
-// Reduce runs body(lo,hi) over chunked subranges in parallel and combines
-// the per-chunk int64 results with combine, returning the total. combine
-// must be associative and commutative.
-func Reduce(t *machine.Thread, name string, n, chunks int, init int64,
-	body func(c *machine.Thread, lo, hi int) int64,
-	combine func(a, b int64) int64) int64 {
-	if chunks < 1 {
-		panic("threads: Reduce with no chunks: " + name)
+// Claim runs body over 0..n-1 in spans of grain items with a crowd of
+// min(⌈n/grain⌉, threadsN) threads, and waits for all of them. Each thread
+// claims the next span with one fetch-and-add on a shared counter until the
+// counter passes n, so the spans run in claim order but on whichever thread
+// got there first. A crowd of at most one thread is no crowd: body(t, 0, n)
+// then runs on the caller, with no counter and no spawn.
+func Claim(t *machine.Thread, name string, n, grain, threadsN int, body func(c *machine.Thread, lo, hi int)) {
+	if grain < 1 || threadsN < 1 {
+		panic("threads: Claim needs a positive grain and thread count: " + name)
 	}
-	futures := make([]*Future, chunks)
-	for c := 0; c < chunks; c++ {
-		lo, hi := ChunkBounds(n, chunks, c)
-		futures[c] = Spawn(t, fmt.Sprintf("%s[%d]", name, c), func(th *machine.Thread) int64 {
-			return body(th, lo, hi)
+	nth := min((n+grain-1)/grain, threadsN)
+	if nth <= 1 {
+		body(t, 0, n)
+		return
+	}
+	next := t.NewCounter(name+" claim", 0)
+	ts := make([]*machine.Thread, nth)
+	for i := range ts {
+		ts[i] = t.Go(fmt.Sprintf("%s[%d]", name, i), func(c *machine.Thread) {
+			for {
+				lo := int(next.Add(c, int64(grain)))
+				if lo >= n {
+					return
+				}
+				body(c, lo, min(lo+grain, n))
+			}
 		})
 	}
-	acc := init
-	for _, f := range futures {
-		acc = combine(acc, f.Force(t))
+	t.JoinAll(ts)
+}
+
+// Crew is a persistent crew of worker threads that meet their parent at one
+// barrier twice per round: once to start on the round's items and once to
+// report them done. Each round, worker w runs its ChunkBounds share of the
+// round's n items, and skips the round's work when that share is empty.
+type Crew struct {
+	bar  *machine.Barrier
+	ws   []*machine.Thread
+	n    int
+	done bool
+}
+
+// NewCrew creates the crew's barrier (workers+1 parties, the parent among
+// them) and spawns the workers in order. work(wt, w, lo, hi) is worker w's
+// share [lo, hi) of a round; it runs on the worker's thread.
+func NewCrew(t *machine.Thread, name string, workers int, work func(wt *machine.Thread, w, lo, hi int)) *Crew {
+	if workers < 1 {
+		panic("threads: Crew with no workers: " + name)
 	}
-	return acc
+	c := &Crew{bar: t.NewBarrier(name, workers+1), ws: make([]*machine.Thread, workers)}
+	for w := range c.ws {
+		c.ws[w] = t.Go(fmt.Sprintf("%s[%d]", name, w), func(wt *machine.Thread) {
+			for {
+				c.bar.Arrive(wt)
+				if c.done {
+					return
+				}
+				if lo, hi := ChunkBounds(c.n, workers, w); lo < hi {
+					work(wt, w, lo, hi)
+				}
+				c.bar.Arrive(wt)
+			}
+		})
+	}
+	return c
+}
+
+// Round runs one round over n items: it releases the crew and waits until
+// every worker has finished its share. State the work reads must be set
+// before the call.
+func (c *Crew) Round(t *machine.Thread, n int) {
+	c.n = n
+	c.bar.Arrive(t) // release the crew
+	c.bar.Arrive(t) // wait for every share to complete
+}
+
+// Stop releases the crew one last time to exit and joins every worker.
+func (c *Crew) Stop(t *machine.Thread) {
+	c.done = true
+	c.bar.Arrive(t)
+	t.JoinAll(c.ws)
 }

@@ -2,6 +2,7 @@ package threads
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -115,55 +116,136 @@ func TestParChunksPanicsOnZeroChunks(t *testing.T) {
 	})
 }
 
-func TestFutureValue(t *testing.T) {
-	onMTA(t, func(th *machine.Thread) {
-		f := Spawn(th, "f", func(c *machine.Thread) int64 {
-			c.Compute(500)
-			return 123
+// claimRun runs Claim over n items on a one-processor MTA and returns how
+// often each index was visited, the spans' threads, and the run's Stats.
+func claimRun(t *testing.T, n, grain, threadsN int) (hit []int, onCaller int, st machine.Stats) {
+	t.Helper()
+	hit = make([]int, n)
+	res := onMTA(t, func(th *machine.Thread) {
+		Claim(th, "claim", n, grain, threadsN, func(c *machine.Thread, lo, hi int) {
+			if c == th {
+				onCaller++
+			}
+			for i := lo; i < hi; i++ {
+				hit[i]++
+			}
 		})
-		if v := f.Force(th); v != 123 {
-			t.Errorf("Force = %d, want 123", v)
-		}
-		// Forcing again still works (variable remains full).
-		if v := f.Force(th); v != 123 {
-			t.Errorf("second Force = %d, want 123", v)
-		}
 	})
+	return hit, onCaller, res.Stats
 }
 
-func TestFutureForcesBlockUntilReady(t *testing.T) {
-	onMTA(t, func(th *machine.Thread) {
-		f := Spawn(th, "slow", func(c *machine.Thread) int64 {
-			c.Compute(10_000)
-			return 1
-		})
-		start := th.NowCycles()
-		f.Force(th)
-		if th.NowCycles() <= start {
-			t.Error("Force returned without waiting for the future")
+// Property: Claim visits every index of [0, n) exactly once, with
+// min(⌈n/grain⌉, threadsN) threads, each ending on one failed claim.
+func TestPropertyClaimCoversEachIndexOnce(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		n, grain, threadsN := rng.Intn(200), 1+rng.Intn(10), 1+rng.Intn(20)
+		hit, onCaller, st := claimRun(t, n, grain, threadsN)
+		for _, h := range hit {
+			if h != 1 {
+				return false
+			}
 		}
-	})
-}
-
-func TestReduceSum(t *testing.T) {
-	// Sum 1..100 via 8 chunks.
-	vals := make([]int64, 100)
-	for i := range vals {
-		vals[i] = int64(i + 1)
+		spans := (n + grain - 1) / grain
+		nth := min(spans, threadsN)
+		if nth <= 1 {
+			return onCaller == 1 && st.Spawns == 1 && st.AtomicOps == 0
+		}
+		return onCaller == 0 && st.Spawns == int64(1+nth) && st.AtomicOps == int64(spans+nth)
 	}
-	onMTA(t, func(th *machine.Thread) {
-		got := Reduce(th, "sum", len(vals), 8, 0,
-			func(c *machine.Thread, lo, hi int) int64 {
-				var s int64
-				for i := lo; i < hi; i++ {
-					s += vals[i]
-				}
-				return s
-			},
-			func(a, b int64) int64 { return a + b })
-		if got != 5050 {
-			t.Errorf("Reduce = %d, want 5050", got)
+	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
+		t.Error(err)
+	}
+}
+
+func TestClaimThreadCount(t *testing.T) {
+	for _, tc := range []struct {
+		n, grain, threadsN int
+		spawned            int64 // threads besides the caller
+	}{
+		{n: 0, grain: 1, threadsN: 8, spawned: 0},
+		{n: 8, grain: 8, threadsN: 8, spawned: 0},   // one span
+		{n: 100, grain: 1, threadsN: 1, spawned: 0}, // one thread
+		{n: 9, grain: 8, threadsN: 8, spawned: 2},   // ⌈9/8⌉ spans
+		{n: 100, grain: 8, threadsN: 4, spawned: 4}, // capped by threadsN
+	} {
+		hit, onCaller, st := claimRun(t, tc.n, tc.grain, tc.threadsN)
+		if st.Spawns != 1+tc.spawned {
+			t.Errorf("%+v: %d spawns, want %d", tc, st.Spawns, 1+tc.spawned)
 		}
+		if tc.spawned == 0 && (st.AtomicOps != 0 || onCaller != 1) {
+			t.Errorf("%+v: %d atomic ops and %d spans on the caller, want 0 and 1", tc, st.AtomicOps, onCaller)
+		}
+		for i, h := range hit {
+			if h != 1 {
+				t.Fatalf("%+v: item %d visited %d times", tc, i, h)
+			}
+		}
+	}
+}
+
+type share struct{ w, lo, hi int }
+
+func TestCrewRoundsRunChunkShares(t *testing.T) {
+	const workers = 4
+	rounds := []int{10, 0, 3, 7, 4, 1} // includes an empty round and fewer items than workers
+	var got []share
+	owner := make([]*machine.Thread, workers)
+	res := onMTA(t, func(th *machine.Thread) {
+		crew := NewCrew(th, "crew", workers, func(wt *machine.Thread, w, lo, hi int) {
+			if wt == th || (owner[w] != nil && owner[w] != wt) {
+				t.Errorf("worker %d ran on thread %s", w, wt.Name())
+			}
+			owner[w] = wt
+			got = append(got, share{w, lo, hi})
+		})
+		for _, n := range rounds {
+			crew.Round(th, n)
+			got = append(got, share{-1, n, n}) // round boundary
+		}
+		crew.Stop(th)
+	})
+	var want []share
+	for _, n := range rounds {
+		for w := 0; w < workers; w++ {
+			if lo, hi := ChunkBounds(n, workers, w); lo < hi {
+				want = append(want, share{w, lo, hi})
+			}
+		}
+		want = append(want, share{-1, n, n})
+	}
+	// Shares run in any order within a round; compare each round as a set.
+	sortRounds := func(ss []share) {
+		start := 0
+		for i, s := range ss {
+			if s.w == -1 {
+				slices.SortFunc(ss[start:i], func(a, b share) int { return a.w - b.w })
+				start = i + 1
+			}
+		}
+	}
+	sortRounds(got)
+	if !slices.Equal(got, want) {
+		t.Errorf("shares = %v, want %v", got, want)
+	}
+	if want := int64(1 + workers); res.Stats.Spawns != want {
+		t.Errorf("%d spawns, want %d", res.Stats.Spawns, want)
+	}
+	// Every party arrives twice per round and once more at Stop.
+	if want := int64((workers + 1) * (2*len(rounds) + 1)); res.Stats.BarrierOps != want {
+		t.Errorf("%d barrier arrivals, want %d", res.Stats.BarrierOps, want)
+	}
+}
+
+func TestCrewPanicsOnZeroWorkers(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Error("no panic for zero workers")
+		}
+	}()
+	e := mta.New(mta.Params{Procs: 1})
+	e.Run("main", func(th *machine.Thread) {
+		NewCrew(th, "bad", 0, func(*machine.Thread, int, int, int) {})
 	})
 }
 
@@ -175,72 +257,20 @@ func TestConstructsWorkOnSMPToo(t *testing.T) {
 		ParChunks(th, "loop", 64, 4, func(c *machine.Thread, chunk, lo, hi int) {
 			total += hi - lo
 		})
-		f := Spawn(th, "f", func(c *machine.Thread) int64 { return 5 })
-		total += int(f.Force(th))
+		Claim(th, "claim", 32, 3, 4, func(c *machine.Thread, lo, hi int) {
+			total += hi - lo
+		})
+		crew := NewCrew(th, "crew", 4, func(wt *machine.Thread, w, lo, hi int) {
+			total += hi - lo
+		})
+		crew.Round(th, 5)
+		crew.Round(th, 2)
+		crew.Stop(th)
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if total != 64+5 {
-		t.Errorf("total = %d, want 69", total)
-	}
-}
-
-// Property: Reduce equals the sequential fold for random inputs, chunk
-// counts and associative/commutative combine (here: sum and max).
-func TestPropertyReduceEquivalence(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := rng.Intn(200)
-		vals := make([]int64, n)
-		var wantSum, wantMax int64
-		wantMax = -1 << 62
-		for i := range vals {
-			vals[i] = int64(rng.Intn(1000) - 500)
-			wantSum += vals[i]
-			if vals[i] > wantMax {
-				wantMax = vals[i]
-			}
-		}
-		if n == 0 {
-			wantMax = -1 << 62
-		}
-		chunks := 1 + rng.Intn(16)
-		var gotSum, gotMax int64
-		e := mta.New(mta.Params{Procs: 1})
-		_, err := e.Run("main", func(th *machine.Thread) {
-			gotSum = Reduce(th, "sum", n, chunks, 0,
-				func(c *machine.Thread, lo, hi int) int64 {
-					var s int64
-					for i := lo; i < hi; i++ {
-						s += vals[i]
-					}
-					return s
-				},
-				func(a, b int64) int64 { return a + b })
-			gotMax = Reduce(th, "max", n, chunks, -1<<62,
-				func(c *machine.Thread, lo, hi int) int64 {
-					m := int64(-1 << 62)
-					for i := lo; i < hi; i++ {
-						if vals[i] > m {
-							m = vals[i]
-						}
-					}
-					return m
-				},
-				func(a, b int64) int64 {
-					if a > b {
-						return a
-					}
-					return b
-				})
-		})
-		if err != nil {
-			return false
-		}
-		return gotSum == wantSum && gotMax == wantMax
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
-		t.Error(err)
+	if total != 64+32+5+2 {
+		t.Errorf("total = %d, want 103", total)
 	}
 }
