@@ -132,6 +132,29 @@ func c3ibench(args []string, stdout, stderr io.Writer) int {
 		return 0
 	}
 
+	var ids []string
+	switch {
+	case *grid != "":
+		// A grid sweep is a standalone mode: it emits one records envelope
+		// (or one table) for exactly the declared points, so mixing it with
+		// an experiment sweep would interleave two different documents.
+		if *all || *runIDs != "" {
+			return usage("-grid is standalone; drop -run/-all")
+		}
+		if *gridNP < 1 {
+			return usage("-grid-procs %d: must be at least 1", *gridNP)
+		}
+	case *all:
+		ids = experiments.IDs()
+	case *runIDs != "":
+		ids = strings.Split(*runIDs, ",")
+	default:
+		return usage("nothing to do; use -list, -run <ids> or -all")
+	}
+	if *jsonOut && *stats == "-" {
+		return usage("-json and -stats - both write stdout; give -stats a file")
+	}
+
 	// Every Spec goes through one executor: a Runner running -jobs cells at
 	// once, or the -remote client. Client attempt/retry counters land in the
 	// Runner's registry, so -stats shows remote transport behaviour next to
@@ -142,48 +165,42 @@ func c3ibench(args []string, stdout, stderr io.Writer) int {
 		exec = &serve.Client{Addr: *remote, Metrics: runner.Metrics()}
 	}
 
-	if *grid != "" {
-		// A grid sweep is a standalone mode: it emits one records envelope
-		// (or one table) for exactly the declared points, so mixing it with
-		// an experiment sweep would interleave two different documents.
-		if *all || *runIDs != "" {
-			return usage("-grid is standalone; drop -run/-all")
-		}
-		if *gridNP < 1 {
-			return usage("-grid-procs %d: must be at least 1", *gridNP)
-		}
-		if err := gridSweep(stdout, *grid, *gridVar, *gridPlt, *gridNP, exec, *jsonOut, *md); err != nil {
+	stopCPU, err := startCPUProfile(*cpuProf)
+	if err != nil {
+		return usage("%v", err)
+	}
+	// finish is both modes' epilogue. Profiles cover exactly the sweep; the
+	// snapshot and profile files are written even when the sweep failed, so
+	// a partial sweep still leaves evidence of where the time went.
+	finish := func(status int) int {
+		stopCPU()
+		if err := writeMemProfile(*memProf); err != nil {
 			fmt.Fprintf(stderr, "c3ibench: %v\n", err)
-			var se *sweepError
-			if errors.As(err, &se) {
-				return 1 // the sweep itself failed
-			}
-			return 2 // bad flag value, unknown workload/axis, undeclared point
+			status = max(status, 1)
 		}
-		return 0
+		if err := writeStats(*stats, runner.Metrics(), stdout); err != nil {
+			fmt.Fprintf(stderr, "c3ibench: %v\n", err)
+			status = max(status, 1)
+		}
+		return status
 	}
 
-	var ids []string
-	switch {
-	case *all:
-		ids = experiments.IDs()
-	case *runIDs != "":
-		ids = strings.Split(*runIDs, ",")
-	default:
-		return usage("nothing to do; use -list, -run <ids> or -all")
+	if *grid != "" {
+		status := 0
+		if err := gridSweep(stdout, *grid, *gridVar, *gridPlt, *gridNP, exec, *jsonOut, *md); err != nil {
+			fmt.Fprintf(stderr, "c3ibench: %v\n", err)
+			status = 2 // bad flag value, unknown workload/axis, undeclared point
+			var se *sweepError
+			if errors.As(err, &se) {
+				status = 1 // the sweep itself failed
+			}
+		}
+		return finish(status)
 	}
 
 	cfg := experiments.Config{Scales: map[string]float64{}, Executor: exec}
 	for name, s := range scales {
 		cfg.Scales[name] = *s
-	}
-
-	if *jsonOut && *stats == "-" {
-		return usage("-json and -stats - both write stdout; give -stats a file")
-	}
-	stopCPU, err := startCPUProfile(*cpuProf)
-	if err != nil {
-		return usage("%v", err)
 	}
 
 	// Experiments run one after another, each reported as it finishes. In
@@ -229,19 +246,7 @@ func c3ibench(args []string, stdout, stderr io.Writer) int {
 		}
 		fmt.Fprintf(stderr, "[%s in %.1fs]\n", e.ID, elapsed.Seconds())
 	}
-	// Profiles cover exactly the sweep; the snapshot and profile files are
-	// written even when some experiments failed, so a partial sweep still
-	// leaves evidence of where the time went.
-	stopCPU()
-	status := 0
-	if err := writeMemProfile(*memProf); err != nil {
-		fmt.Fprintf(stderr, "c3ibench: %v\n", err)
-		status = 1
-	}
-	if err := writeStats(*stats, runner.Metrics(), stdout); err != nil {
-		fmt.Fprintf(stderr, "c3ibench: %v\n", err)
-		status = 1
-	}
+	status := finish(0)
 	if *jsonOut {
 		// Emit whatever completed even when some experiments failed — the
 		// same partial-failure contract as the rendered-table mode, with

@@ -4,12 +4,15 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"os"
+	"path/filepath"
 	"reflect"
 	"slices"
 	"strings"
 	"testing"
 
 	_ "repro/internal/experiments" // register the shipped workloads
+	"repro/internal/obs"
 	"repro/internal/run"
 )
 
@@ -118,6 +121,38 @@ func TestGridSweepTableHasAxisColumns(t *testing.T) {
 		if !strings.Contains(out, col) {
 			t.Errorf("table output missing column %q:\n%s", col, out)
 		}
+	}
+}
+
+func TestGridSweepWritesStatsAndProfiles(t *testing.T) {
+	// A grid sweep ends in the same epilogue as an experiment sweep: the
+	// metrics snapshot and the heap profile are written.
+	dir := t.TempDir()
+	statsPath, memPath := filepath.Join(dir, "stats.json"), filepath.Join(dir, "mem.out")
+	code, _, errOut := runC3ibench("-grid", "hypothesis-testing=scale:0.05;gate:24;prune:0;net:0",
+		"-stats", statsPath, "-memprofile", memPath)
+	if code != 0 {
+		t.Fatalf("exit status %d: %s", code, errOut)
+	}
+	if fi, err := os.Stat(memPath); err != nil || fi.Size() == 0 {
+		t.Errorf("-memprofile: %v", err)
+	}
+	buf, err := os.ReadFile(statsPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var snap obs.Snapshot
+	if err := json.Unmarshal(buf, &snap); err != nil {
+		t.Fatal(err)
+	}
+	var execs int64 = -1
+	for _, c := range snap.Counters {
+		if c.Name == "run_executions_total" && c.Labels["workload"] == "hypothesis-testing" {
+			execs = c.Value
+		}
+	}
+	if execs != 1 {
+		t.Errorf("run_executions_total{workload=\"hypothesis-testing\"} = %d, want 1 (one grid point)", execs)
 	}
 }
 
