@@ -40,6 +40,13 @@ import (
 	"syscall"
 	"time"
 
+	// The router ranks shards by Spec.Key, which is canonical only for a
+	// registered workload: register all five, as c3iserve does.
+	_ "repro/internal/c3i/hypothesis"
+	_ "repro/internal/c3i/plottrack"
+	_ "repro/internal/c3i/route"
+	_ "repro/internal/c3i/terrain"
+	_ "repro/internal/c3i/threat"
 	"repro/internal/router"
 	"repro/internal/serve"
 )
