@@ -2,7 +2,6 @@ package threads
 
 import (
 	"math/rand"
-	"slices"
 	"testing"
 	"testing/quick"
 
@@ -184,12 +183,13 @@ func TestClaimThreadCount(t *testing.T) {
 	}
 }
 
-type share struct{ w, lo, hi int }
+type span struct{ lo, hi int }
 
 func TestCrewRoundsRunChunkShares(t *testing.T) {
 	const workers = 4
-	rounds := []int{10, 0, 3, 7, 4, 1} // includes an empty round and fewer items than workers
-	var got []share
+	rounds := []int{10, 0, 3, 7, 4, 1} // an empty round, and rounds with fewer items than workers
+	got := make([][workers]span, len(rounds))
+	calls, r := 0, 0
 	owner := make([]*machine.Thread, workers)
 	res := onMTA(t, func(th *machine.Thread) {
 		crew := NewCrew(th, "crew", workers, func(wt *machine.Thread, w, lo, hi int) {
@@ -197,36 +197,29 @@ func TestCrewRoundsRunChunkShares(t *testing.T) {
 				t.Errorf("worker %d ran on thread %s", w, wt.Name())
 			}
 			owner[w] = wt
-			got = append(got, share{w, lo, hi})
+			got[r][w] = span{lo, hi}
+			calls++
 		})
-		for _, n := range rounds {
-			crew.Round(th, n)
-			got = append(got, share{-1, n, n}) // round boundary
+		for r = range rounds {
+			crew.Round(th, rounds[r])
 		}
 		crew.Stop(th)
 	})
-	var want []share
-	for _, n := range rounds {
+	wantCalls := 0
+	for r, n := range rounds {
 		for w := 0; w < workers; w++ {
+			want := span{}
 			if lo, hi := ChunkBounds(n, workers, w); lo < hi {
-				want = append(want, share{w, lo, hi})
+				want = span{lo, hi}
+				wantCalls++
 			}
-		}
-		want = append(want, share{-1, n, n})
-	}
-	// Shares run in any order within a round; compare each round as a set.
-	sortRounds := func(ss []share) {
-		start := 0
-		for i, s := range ss {
-			if s.w == -1 {
-				slices.SortFunc(ss[start:i], func(a, b share) int { return a.w - b.w })
-				start = i + 1
+			if got[r][w] != want {
+				t.Errorf("round %d (n=%d): worker %d ran %v, want %v", r, n, w, got[r][w], want)
 			}
 		}
 	}
-	sortRounds(got)
-	if !slices.Equal(got, want) {
-		t.Errorf("shares = %v, want %v", got, want)
+	if calls != wantCalls {
+		t.Errorf("%d shares ran, want %d: empty shares must be skipped", calls, wantCalls)
 	}
 	if want := int64(1 + workers); res.Stats.Spawns != want {
 		t.Errorf("%d spawns, want %d", res.Stats.Spawns, want)
