@@ -59,7 +59,6 @@ func main() {
 	var (
 		addr    = flag.String("addr", ":8642", "listen address (server mode) or base URL (client mode)")
 		store   = flag.String("store", "", "record store directory; empty = in-memory caches only")
-		jobs    = flag.Int("jobs", 0, "runner fan-out bound; < 1 means GOMAXPROCS")
 		workers = flag.Int("workers", 0, "workers per workload pool; < 1 means GOMAXPROCS")
 		queue   = flag.Int("queue", 0, "queued specs per workload pool before 429; < 1 means 4x workers")
 		drain   = flag.Duration("drain", 15*time.Second, "graceful-shutdown drain timeout for in-flight batches")
@@ -72,15 +71,17 @@ func main() {
 	if *client {
 		os.Exit(runClient(*addr))
 	}
-	if err := runServer(*addr, *store, *jobs, *workers, *queue, *drain, *pprofOn, *slow); err != nil {
+	if err := runServer(*addr, *store, *workers, *queue, *drain, *pprofOn, *slow); err != nil {
 		fmt.Fprintf(os.Stderr, "c3iserve: %v\n", err)
 		os.Exit(1)
 	}
 }
 
 // runServer blocks until the listener fails or a shutdown signal drains it.
-func runServer(addr, storeDir string, jobs, workers, queue int, drain time.Duration, pprofOn bool, slow time.Duration) error {
-	runner := run.NewRunner(jobs)
+func runServer(addr, storeDir string, workers, queue int, drain time.Duration, pprofOn bool, slow time.Duration) error {
+	// The server only calls Runner.Run from its workload pools, so the
+	// Runner's own RunAll pool size is unused.
+	runner := run.NewRunner(0)
 	var ds *run.DiskStore
 	if storeDir != "" {
 		var err error

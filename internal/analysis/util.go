@@ -66,13 +66,3 @@ func RecvNamed(fn *types.Func) *types.Named {
 	named, _ := t.(*types.Named)
 	return named
 }
-
-// IsMethodOn reports whether fn is a method named methName on a type named
-// typeName declared in a package named pkgName.
-func IsMethodOn(fn *types.Func, pkgName, typeName, methName string) bool {
-	if fn == nil || fn.Name() != methName || FuncPkgName(fn) != pkgName {
-		return false
-	}
-	named := RecvNamed(fn)
-	return named != nil && named.Obj().Name() == typeName
-}

@@ -116,12 +116,6 @@ func (s *Scenario) PairScore(h Hypothesis, o Observation, gate int) (int64, bool
 	return g*g - d2 + 1 + int64(h.Prior)*PriorWeight, true
 }
 
-// TotalWork returns the benchmark work metric: the scoring scan is
-// observations × hypotheses pair tests.
-func (s *Scenario) TotalWork() int64 {
-	return int64(len(s.Obs)) * int64(len(s.Hyps))
-}
-
 // ScenarioName implements suite.Scenario.
 func (s *Scenario) ScenarioName() string { return s.Name }
 

@@ -112,16 +112,6 @@ func NewTrackCost(gate int) int64 {
 	return int64(gate)*int64(gate) + MaxQuality*QualityWeight + 1
 }
 
-// TotalWork returns the benchmark work metric: the gating scan is
-// plots × tracks pair tests per frame.
-func (s *Scenario) TotalWork() int64 {
-	var w int64
-	for _, f := range s.Frames {
-		w += int64(len(f)) * int64(len(s.Tracks))
-	}
-	return w
-}
-
 // GenParams controls synthetic scenario generation. NumPlots is the plot
 // count per frame; Frames defaults to 1.
 type GenParams struct {

@@ -84,12 +84,6 @@ func (s *Scenario) MaxEdgeWeight() int32 {
 	return 1 + m
 }
 
-// TotalWork returns the benchmark work metric: grid cells times route
-// requests (each request's wavefront may visit the whole grid).
-func (s *Scenario) TotalWork() int64 {
-	return int64(s.Cells()) * int64(len(s.Queries))
-}
-
 // ThreatSite is a ground threat contributing risk to nearby cells: lethality
 // Lethality at the site, falling linearly to zero at radius R (cells).
 type ThreatSite struct {

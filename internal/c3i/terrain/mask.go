@@ -114,15 +114,6 @@ func TraceRay(g *Grid, t *ThreatSite, f *Field, ray int) int {
 	return visits
 }
 
-// TraceSector traces rays [lo, hi) of the fan and returns total visits.
-func TraceSector(g *Grid, t *ThreatSite, f *Field, lo, hi int) int {
-	visits := 0
-	for r := lo; r < hi; r++ {
-		visits += TraceRay(g, t, f, r)
-	}
-	return visits
-}
-
 // Masking is a full-terrain masking result: the minimum over all processed
 // threats, +Inf where no threat reaches.
 type Masking struct {

@@ -86,12 +86,6 @@ func New(sizeBytes, lineBytes, granuleBytes uint64) *Cache {
 	}
 }
 
-// SizeBytes returns the modeled capacity in bytes.
-func (c *Cache) SizeBytes() uint64 { return uint64(len(c.nodes)) * c.granule }
-
-// LineBytes returns the miss-transfer unit.
-func (c *Cache) LineBytes() uint64 { return c.line }
-
 // Hits returns cumulative hit count.
 func (c *Cache) Hits() int64 { return c.hits }
 

@@ -187,9 +187,6 @@ func (t *Thread) Name() string { return t.name }
 // NowCycles returns the current simulated time in cycles.
 func (t *Thread) NowCycles() float64 { return t.P.Now() }
 
-// NowSeconds returns the current simulated time in seconds.
-func (t *Thread) NowSeconds() float64 { return t.P.Now() / t.E.cfg.ClockHz }
-
 // Mark annotates the thread's timeline with a named phase point (a no-op
 // when no tracer is attached).
 func (t *Thread) Mark(label string) {

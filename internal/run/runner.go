@@ -295,14 +295,6 @@ func (r *Runner) RunAll(ctx context.Context, specs []Spec) ([]Record, error) {
 // accounting use it.
 func (r *Runner) Executions() int64 { return r.execs.Load() }
 
-// Reset drops both caches (tests and per-iteration benchmark harnesses
-// control memory and measurement this way). In-flight computations from
-// before the reset cannot repopulate the caches.
-func (r *Runner) Reset() {
-	r.suites.reset()
-	r.runs.reset()
-}
-
 // execute runs a normalized Spec over its memoized scenario suite.
 func (r *Runner) execute(ctx context.Context, ns Spec) (Record, error) {
 	scs, err := r.Warm(ns.Workload, ns.Scale)
@@ -376,12 +368,9 @@ func (r *Runner) executeOn(ctx context.Context, ns Spec, scs []suite.Scenario) (
 // --- Single-flight memoization ----------------------------------------------
 
 // onceMap memoizes expensive computations by key and collapses concurrent
-// calls for the same key into one execution. reset advances a generation so
-// computations started before a reset cannot repopulate the post-reset maps.
-// (Lifted from internal/experiments, which now consumes it through Runner.)
+// calls for the same key into one execution.
 type onceMap[T any] struct {
 	mu       sync.Mutex
-	gen      int
 	done     map[string]T
 	inflight map[string]*onceCall[T]
 }
@@ -427,28 +416,15 @@ func (m *onceMap[T]) doTracked(key string, fn func() (T, error)) (val T, err err
 	}
 	c := &onceCall[T]{ready: make(chan struct{})}
 	m.inflight[key] = c
-	gen := m.gen
 	m.mu.Unlock()
 
 	c.val, c.err = fn()
 	m.mu.Lock()
-	// A reset during the computation dropped this call from inflight and
-	// invalidated its result; only same-generation results are memoized.
-	if m.gen == gen {
-		if c.err == nil {
-			m.done[key] = c.val
-		}
-		delete(m.inflight, key)
+	if c.err == nil {
+		m.done[key] = c.val
 	}
+	delete(m.inflight, key)
 	m.mu.Unlock()
 	close(c.ready)
 	return c.val, c.err, false, 0
-}
-
-func (m *onceMap[T]) reset() {
-	m.mu.Lock()
-	m.gen++
-	m.done = map[string]T{}
-	m.inflight = map[string]*onceCall[T]{}
-	m.mu.Unlock()
 }

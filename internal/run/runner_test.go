@@ -306,62 +306,6 @@ func TestRunnerRunScenario(t *testing.T) {
 	}
 }
 
-func TestRunnerReset(t *testing.T) {
-	setHook(nil)
-	r := NewRunner(0)
-	ctx := context.Background()
-	if _, err := r.Run(ctx, hookSpec(100)); err != nil {
-		t.Fatal(err)
-	}
-	r.Reset()
-	if _, err := r.Run(ctx, hookSpec(100)); err != nil {
-		t.Fatal(err)
-	}
-	if got := r.Executions(); got != 2 {
-		t.Errorf("post-reset Run served from cache: %d executions, want 2", got)
-	}
-}
-
-func TestOnceMapResetBeforeFirstUse(t *testing.T) {
-	// The benchmark harness calls Reset before the first cache use; a
-	// fresh-then-reset onceMap must still serve misses.
-	var m onceMap[int]
-	m.reset()
-	v, err := m.do("k", func() (int, error) { return 42, nil })
-	if err != nil || v != 42 {
-		t.Fatalf("do after reset = %d, %v", v, err)
-	}
-	m.reset()
-	calls := 0
-	v, err = m.do("k", func() (int, error) { calls++; return 7, nil })
-	if err != nil || v != 7 || calls != 1 {
-		t.Errorf("reset did not drop memoized value: v=%d calls=%d err=%v", v, calls, err)
-	}
-}
-
-func TestOnceMapResetDuringInflight(t *testing.T) {
-	// A computation started before a reset must not repopulate the
-	// post-reset cache: its result belongs to the old generation.
-	var m onceMap[int]
-	started := make(chan struct{})
-	release := make(chan struct{})
-	go func() {
-		m.do("k", func() (int, error) {
-			close(started)
-			<-release
-			return 1, nil
-		})
-	}()
-	<-started
-	m.reset()
-	close(release)
-	// The stale call must not satisfy or poison post-reset lookups.
-	v, err := m.do("k", func() (int, error) { return 2, nil })
-	if err != nil || v != 2 {
-		t.Errorf("post-reset do = %d, %v; want fresh value 2", v, err)
-	}
-}
-
 // runOnly is a Run-only Executor that fails on one key and logs each call.
 type runOnly struct {
 	fail  string

@@ -4,8 +4,8 @@
 // hundreds of short overlapping stream bars; on a conventional SMP, a few
 // long bars with serialized spawn stair-steps.
 //
-// The package is standalone: machines call Record through the small Sink
-// interface, and anything that has events can render them.
+// The package is standalone: machines call (*Log).Record, and anything that
+// has events can render them.
 package trace
 
 import (
@@ -39,12 +39,6 @@ type Event struct {
 	Label  string
 }
 
-// Sink receives events. *Log implements it; a nil *Log is a valid no-op
-// sink, so machines can record unconditionally.
-type Sink interface {
-	Record(e Event)
-}
-
 // Log accumulates events from one run.
 type Log struct {
 	ClockHz float64
@@ -54,7 +48,8 @@ type Log struct {
 // New returns an empty log for a machine with the given clock.
 func New(clockHz float64) *Log { return &Log{ClockHz: clockHz} }
 
-// Record implements Sink. Recording on a nil log is a no-op.
+// Record appends e to the log. Recording on a nil log is a no-op, so
+// machines can record unconditionally whether or not tracing is on.
 func (l *Log) Record(e Event) {
 	if l == nil {
 		return
