@@ -6,7 +6,8 @@
 //
 // ParChunks is the paper's Program 2 pattern: a "#pragma multithreaded"
 // outer loop over chunk subranges, one thread per chunk. Threat Analysis's
-// chunked variant and Terrain Masking's fine-grained and merge loops use it.
+// chunked variant uses it, and so do Terrain Masking's fine and hybrid
+// variants for each threat's ray sectors, field reset and merge.
 //
 // Claim is the Tera style's self-scheduled crowd: threads that repeatedly
 // claim the next few items of a work list by fetch-and-add. Route
