@@ -115,11 +115,14 @@ func TestParChunksPanicsOnZeroChunks(t *testing.T) {
 	})
 }
 
-// claimRun runs Claim over n items on a one-processor MTA and returns how
-// often each index was visited, the spans' threads, and the run's Stats.
-func claimRun(t *testing.T, n, grain, threadsN int) (hit []int, onCaller int, st machine.Stats) {
+// claimOK runs Claim over n items on a one-processor MTA and reports
+// whether every index of [0, n) ran exactly once with min(⌈n/grain⌉,
+// threadsN) threads, each ending on one failed claim; a crowd of at most one
+// thread must run on the caller with no spawn and no atomic op.
+func claimOK(t *testing.T, n, grain, threadsN int) bool {
 	t.Helper()
-	hit = make([]int, n)
+	hit := make([]int, n)
+	onCaller := 0
 	res := onMTA(t, func(th *machine.Thread) {
 		Claim(th, "claim", n, grain, threadsN, func(c *machine.Thread, lo, hi int) {
 			if c == th {
@@ -130,56 +133,32 @@ func claimRun(t *testing.T, n, grain, threadsN int) (hit []int, onCaller int, st
 			}
 		})
 	})
-	return hit, onCaller, res.Stats
+	for _, h := range hit {
+		if h != 1 {
+			return false
+		}
+	}
+	st := res.Stats
+	spans := (n + grain - 1) / grain
+	if nth := min(spans, threadsN); nth > 1 {
+		return onCaller == 0 && st.Spawns == int64(1+nth) && st.AtomicOps == int64(spans+nth)
+	}
+	return onCaller == 1 && st.Spawns == 1 && st.AtomicOps == 0
 }
 
-// Property: Claim visits every index of [0, n) exactly once, with
-// min(⌈n/grain⌉, threadsN) threads, each ending on one failed claim.
 func TestPropertyClaimCoversEachIndexOnce(t *testing.T) {
+	// No items, one span, one thread, two spans, a crowd capped by threadsN.
+	for _, c := range [][3]int{{0, 1, 8}, {8, 8, 8}, {100, 1, 1}, {9, 8, 8}, {100, 8, 4}} {
+		if !claimOK(t, c[0], c[1], c[2]) {
+			t.Errorf("Claim n=%d grain=%d threadsN=%d", c[0], c[1], c[2])
+		}
+	}
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		n, grain, threadsN := rng.Intn(200), 1+rng.Intn(10), 1+rng.Intn(20)
-		hit, onCaller, st := claimRun(t, n, grain, threadsN)
-		for _, h := range hit {
-			if h != 1 {
-				return false
-			}
-		}
-		spans := (n + grain - 1) / grain
-		nth := min(spans, threadsN)
-		if nth <= 1 {
-			return onCaller == 1 && st.Spawns == 1 && st.AtomicOps == 0
-		}
-		return onCaller == 0 && st.Spawns == int64(1+nth) && st.AtomicOps == int64(spans+nth)
+		return claimOK(t, rng.Intn(200), 1+rng.Intn(10), 1+rng.Intn(20))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestClaimThreadCount(t *testing.T) {
-	for _, tc := range []struct {
-		n, grain, threadsN int
-		spawned            int64 // threads besides the caller
-	}{
-		{n: 0, grain: 1, threadsN: 8, spawned: 0},
-		{n: 8, grain: 8, threadsN: 8, spawned: 0},   // one span
-		{n: 100, grain: 1, threadsN: 1, spawned: 0}, // one thread
-		{n: 9, grain: 8, threadsN: 8, spawned: 2},   // ⌈9/8⌉ spans
-		{n: 100, grain: 8, threadsN: 4, spawned: 4}, // capped by threadsN
-	} {
-		hit, onCaller, st := claimRun(t, tc.n, tc.grain, tc.threadsN)
-		if st.Spawns != 1+tc.spawned {
-			t.Errorf("%+v: %d spawns, want %d", tc, st.Spawns, 1+tc.spawned)
-		}
-		if tc.spawned == 0 && (st.AtomicOps != 0 || onCaller != 1) {
-			t.Errorf("%+v: %d atomic ops and %d spans on the caller, want 0 and 1", tc, st.AtomicOps, onCaller)
-		}
-		for i, h := range hit {
-			if h != 1 {
-				t.Fatalf("%+v: item %d visited %d times", tc, i, h)
-			}
-		}
 	}
 }
 
