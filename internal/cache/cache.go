@@ -17,6 +17,25 @@
 // linearly) and streaming working sets that do not (Terrain Masking is
 // memory-bound and saturates the shared bus).
 //
+// A strided burst is walked granule by granule with no division per
+// granule. Divisions place the first reference; after that, additions give
+// each granule's reference count and the offset at which the next granule
+// is entered. With stride s up to the granule size G, a granule entered at
+// an offset below s holds G/s or G/s+1 references, so the price of a cold
+// granule, which depends only on its reference count, takes two values
+// per burst. With s > G every reference lies in a granule of its own.
+//
+// A burst that touches m granules, m more than twice the capacity C, goes
+// through the LRU only for its first C and its last C granules. Its granules
+// come in increasing id order, so after its first C touches the cache holds
+// exactly those C. Each later granule would be reached while the cache holds
+// the C granules before it, all of lower id, so every granule in the middle
+// misses and its price is its line count; the middle is priced as one sum.
+// The last C touches miss too and evict the first C, which leaves the cache
+// holding the last C granules, most recent first, exactly as if every
+// granule had been touched. The skipped granules' index entries stay stale,
+// which the index rule below allows.
+//
 // The LRU allocates nothing once warm. It is a fixed slab of one node per
 // granule of capacity, doubly linked by int32 indices from the most to the
 // least recently used, and a direct index from granule id to the node that
@@ -162,43 +181,83 @@ func (c *Cache) AccessBurst(b mem.Burst) (hits, misses int64) {
 		return hits, misses
 	}
 
-	last := start + uint64(b.N-1)*b.Stride
-	gFirst := start / c.granule
-	gLast := last / c.granule
-	for g := gFirst; g <= gLast; g++ {
-		lo, hi := uint64(g)*c.granule, uint64(g+1)*c.granule
-		// indices i with start + i*stride in [lo, hi)
-		var iLo uint64
-		if lo > start {
-			iLo = (lo - start + b.Stride - 1) / b.Stride
-		}
-		iHi := (hi - 1 - start) / b.Stride // last index touching this granule
-		if iHi >= uint64(b.N) {
-			iHi = uint64(b.N) - 1
-		}
-		if iLo > iHi {
-			continue
-		}
-		refs := int64(iHi - iLo + 1)
-		if c.touch(g) {
-			hits += refs
-			continue
-		}
-		// Non-resident granule: one miss per distinct line touched.
-		var lines int64
-		if b.Stride >= c.line {
-			lines = refs
-		} else {
-			spanInGranule := (iHi-iLo)*b.Stride + b.ElemSize()
-			lines = int64((spanInGranule + c.line - 1) / c.line)
-			if lines > refs {
-				lines = refs
+	gran, s, n, elem := c.granule, b.Stride, uint64(b.N), b.ElemSize()
+	g, off := start/gran, start%gran // the granule of reference i, and i's offset in it
+	// With s ≤ gran the burst touches every granule from its first to its
+	// last. With s > gran each reference touches a granule of its own.
+	var m, step, carry uint64 // granules touched; s as whole granules and bytes
+	if s <= gran {
+		m, carry = (start+(n-1)*s)/gran-g+1, s
+	} else {
+		m, step, carry = n, s/gran, s%gran
+	}
+	// A granule between the first and the last is entered at an offset below
+	// s. It holds q+1 references if that offset is below r, and q otherwise;
+	// with s > gran, q = 0 and r = gran, so it holds one.
+	var q, r, lq, lq1 uint64
+	if m > 2 {
+		q, r = gran/s, gran%s
+		lq, lq1 = c.lineMisses(q, s, elem), c.lineMisses(q+1, s, elem)
+	}
+	// The granules at ordinals [mid, end) of a long burst miss without
+	// touching the LRU (see the package comment).
+	mid, end := m, m
+	if capGr := uint64(len(c.nodes)); m > 2*capGr {
+		mid, end = capGr, m-capGr
+	}
+	var i uint64 // the first reference in granule g, which is ordinal k
+	for k := uint64(0); k < m; k++ {
+		if k == mid {
+			j := end // the first reference of ordinal end; with s > gran, reference end
+			if s <= gran {
+				j = ((g+end-mid)*gran - start + s - 1) / s
 			}
+			refs, full := j-i, j-i-q*(end-mid) // skipped references, and granules of q+1
+			lines := full*lq1 + (end-mid-full)*lq
+			misses += int64(lines)
+			hits += int64(refs - lines)
+			i, k = j, end
+			g, off = (start+j*s)/gran, (start+j*s)%gran
 		}
-		misses += lines
-		hits += refs - lines
+		refs, lines := q, lq
+		if off < r {
+			refs, lines = q+1, lq1
+		}
+		if k == 0 || k == m-1 {
+			// The first granule may be entered past offset s; the last may
+			// be cut short.
+			refs = n - i
+			if k < m-1 {
+				refs = (gran - off + s - 1) / s
+			}
+			lines = c.lineMisses(refs, s, elem)
+		}
+		if c.touch(g) {
+			hits += int64(refs)
+		} else {
+			misses += int64(lines)
+			hits += int64(refs - lines)
+		}
+		// The next reference is refs*s bytes on: refs*step granules and
+		// refs*carry bytes, which cross at most one more granule boundary.
+		i += refs
+		g += refs * step
+		if off += refs * carry; off >= gran {
+			off -= gran
+			g++
+		}
 	}
 	c.hits += hits
 	c.misses += misses
 	return hits, misses
+}
+
+// lineMisses prices a non-resident granule that holds refs references of a
+// burst with stride s and element size elem: one miss per line they span, at
+// most one per reference.
+func (c *Cache) lineMisses(refs, s, elem uint64) uint64 {
+	if s >= c.line {
+		return refs
+	}
+	return min(((refs-1)*s+elem+c.line-1)/c.line, refs)
 }
