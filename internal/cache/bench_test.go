@@ -19,6 +19,20 @@ func BenchmarkAccessBurstStreaming(b *testing.B) {
 	}
 }
 
+// BenchmarkAccessBurstLong measures a burst over 16 times the cache: the
+// Exemplar's geometry and Terrain Masking's ray stride, so the walk touches
+// twice the capacity and prices the rest of the granules without the LRU.
+func BenchmarkAccessBurstLong(b *testing.B) {
+	c := New(1<<20, 32, 1024)
+	s := mem.NewSpace()
+	r := s.Alloc("data", 16<<20)
+	burst := mem.Burst{Region: r, Stride: 64, Elem: 4, N: 16 << 20 / 64}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c.AccessBurst(burst)
+	}
+}
+
 // BenchmarkAccessSingle measures the single-reference hit path.
 func BenchmarkAccessSingle(b *testing.B) {
 	c := New(256<<10, 32, 1024)

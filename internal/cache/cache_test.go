@@ -345,7 +345,8 @@ func randomBurst(rng *rand.Rand, r *mem.Region, size, line, granule uint64) mem.
 // The slab LRU with its direct index must match the reference LRU exactly:
 // the same (hits, misses) on every call and the same resident granules in
 // the same MRU-to-LRU order after it, on seeded mixes of single references
-// and bursts in the three cached platforms' geometries.
+// and bursts in the three cached platforms' geometries, and in a tiny one of
+// four granules where most bursts are longer than twice the cache.
 func TestMatchesReferenceLRU(t *testing.T) {
 	for _, geo := range []struct {
 		name                string
@@ -354,6 +355,7 @@ func TestMatchesReferenceLRU(t *testing.T) {
 		{"Alpha", 1 << 20, 64, 2048},
 		{"Pentium Pro", 256 << 10, 32, 1024},
 		{"Exemplar", 1 << 20, 32, 1024},
+		{"tiny", 4 << 10, 32, 1024},
 	} {
 		t.Run(geo.name, func(t *testing.T) {
 			for seed := int64(1); seed <= 3; seed++ {
@@ -395,6 +397,52 @@ func TestMatchesReferenceLRU(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// LRU is a stack algorithm: on one sequence of references, a cache holds
+// every granule that a smaller cache with the same line and granule sizes
+// holds, in the same order, so it never misses more. Check both after every
+// call of seeded mixes, for capacities from one granule, where nearly every
+// burst is longer than twice the cache, to 256.
+func TestInclusionAcrossCapacities(t *testing.T) {
+	const line, granule = 32, 1024
+	capacities := []uint64{1, 2, 3, 4, 7, 16, 256}
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		caches := make([]*Cache, len(capacities))
+		for i, n := range capacities {
+			caches[i] = New(n*granule, line, granule)
+		}
+		s := mem.NewSpace()
+		regions := []*mem.Region{s.Alloc("small", 8*granule), s.Alloc("large", 1<<20)}
+		for call := 0; call < 500; call++ {
+			r := regions[rng.Intn(2)]
+			access := rng.Intn(4) == 0
+			a := r.Addr(uint64(rng.Int63n(int64(r.Size))))
+			size := capacities[rng.Intn(len(capacities))] * granule
+			b := randomBurst(rng, r, size, line, granule)
+			var smaller []uint64
+			var smallerMisses int64
+			for i, c := range caches {
+				var misses int64
+				if access {
+					misses = 1 - b2i(c.Access(a))
+				} else {
+					_, misses = c.AccessBurst(b)
+				}
+				res := c.resident()
+				if i > 0 && misses > smallerMisses {
+					t.Fatalf("seed %d call %d: %d granules missed %d, %d granules %d",
+						seed, call, capacities[i], misses, capacities[i-1], smallerMisses)
+				}
+				if i > 0 && (len(res) < len(smaller) || !slices.Equal(smaller, res[:len(smaller)])) {
+					t.Fatalf("seed %d call %d: %d granules hold %v, not a prefix of %d granules' %v",
+						seed, call, capacities[i-1], smaller, capacities[i], res)
+				}
+				smaller, smallerMisses = res, misses
+			}
+		}
 	}
 }
 
