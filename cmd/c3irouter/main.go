@@ -45,6 +45,7 @@ import (
 	_ "repro/internal/c3i/hypothesis"
 	_ "repro/internal/c3i/plottrack"
 	_ "repro/internal/c3i/route"
+	"repro/internal/c3i/suite"
 	_ "repro/internal/c3i/terrain"
 	_ "repro/internal/c3i/threat"
 	"repro/internal/router"
@@ -86,7 +87,8 @@ func main() {
 }
 
 // parseShards decodes the -shards syntax: "url[,url...]" with an optional
-// "=wl+wl" workload constraint per entry.
+// "=wl+wl" workload constraint per entry. A constraint names registered
+// workloads only: a misspelled one would leave its shard serving nothing.
 func parseShards(s string) ([]router.Shard, error) {
 	if strings.TrimSpace(s) == "" {
 		return nil, fmt.Errorf("-shards is required (comma-separated c3iserve base URLs)")
@@ -102,6 +104,9 @@ func parseShards(s string) ([]router.Shard, error) {
 		if constrained {
 			for _, w := range strings.Split(constraint, "+") {
 				if w = strings.TrimSpace(w); w != "" {
+					if _, err := suite.Lookup(w); err != nil {
+						return nil, fmt.Errorf("shard %q: %w", entry, err)
+					}
 					sh.Workloads = append(sh.Workloads, w)
 				}
 			}
