@@ -1,20 +1,20 @@
 // Command benchgate is the performance-regression CI gate: it converts
 // measurements into a committed JSON artifact and compares two artifacts
-// with per-family ratio thresholds. The families are table-driven (see
+// with per-family gates. The families are table-driven (see
 // internal/benchgate): "benchmarks" (host ns/op from `go test -bench`
-// output, generous default gate — shared runners are noisy), "model_s"
-// (simulated seconds from `c3ibench -json` records, tight gate — the model
-// is deterministic for a given tree) and "serve_latency" (client-side
-// p50/p95/p99 per endpoint from a `c3iload` artifact).
+// output, generous default ratio — shared runners are noisy), "model_s"
+// (simulated seconds from `c3ibench -json` records, exact: any change fails
+// — the model is deterministic for a given tree) and "serve_latency"
+// (client-side p50/p95/p99 per endpoint from a `c3iload` artifact).
 //
 //	go test -bench . -benchtime 1x -run '^$' . | benchgate -parse -out BENCH_pr.json
 //	benchgate -parse -src benchmarks=bench.txt -src model_s=records.json -out BENCH_pr.json
 //	benchgate -parse -src serve_latency=load.json -out BENCH_serve_pr.json
 //	benchgate -baseline BENCH_baseline.json -current BENCH_pr.json \
-//	    -family benchmarks=2 -family model_s=1.5
+//	    -family benchmarks=2
 //
-// -family name=ratio overrides one family's gate (repeatable; unset families
-// use the table defaults). -src name=path feeds one family's source to
+// -family name=ratio overrides one ratio family's gate (repeatable; unset
+// families use the table defaults; an exact family rejects it). -src name=path feeds one family's source to
 // -parse (repeatable); bare `-parse` with no -src reads `go test -bench`
 // output from stdin, preserving the original pipe idiom.
 package main

@@ -233,7 +233,8 @@ func ReadFile(path string) (*Report, error) {
 	return &r, nil
 }
 
-// Regression is one entry that slowed beyond its family's threshold.
+// Regression is one entry that slowed beyond its family's threshold, or
+// that differs from the baseline in an exact family.
 type Regression struct {
 	Name      string
 	Family    string // declared family name
@@ -241,7 +242,7 @@ type Regression struct {
 	Base      float64
 	Cur       float64
 	Ratio     float64
-	Threshold float64
+	Threshold float64 // 0 in an exact family
 }
 
 // Comparison is the gate's verdict over two reports.
@@ -254,16 +255,19 @@ type Comparison struct {
 
 // Compare evaluates current against base across every declared family. Each
 // family gates at its table default unless overridden by name; override
-// ratios must be > 1 and name declared families.
+// ratios must be > 1 and name declared families that are not exact.
 func Compare(base, current *Report, overrides map[string]float64) (*Comparison, error) {
 	thresholds := map[string]float64{}
 	for _, f := range Families {
 		thresholds[f.Name] = f.Threshold
 	}
 	for name, ratio := range overrides {
-		if _, ok := thresholds[name]; !ok {
-			return nil, fmt.Errorf("benchgate: threshold override for unknown family %q (declared: %s)",
-				name, strings.Join(FamilyNames(), ", "))
+		f, err := FamilyByName(name)
+		if err != nil {
+			return nil, err
+		}
+		if f.Exact {
+			return nil, fmt.Errorf("benchgate: family %s is exact and takes no threshold", name)
 		}
 		if ratio <= 1 {
 			return nil, fmt.Errorf("benchgate: threshold %g for family %s, need > 1", ratio, name)
@@ -294,7 +298,7 @@ func (c *Comparison) compareFamily(f Family, base, current map[string]float64, t
 			continue
 		}
 		c.Compared++
-		if b > 0 && cur/b > threshold {
+		if f.Exact && cur != b || !f.Exact && b > 0 && cur/b > threshold {
 			c.Regressions = append(c.Regressions, Regression{
 				Name: name, Family: f.Name, Unit: f.Unit,
 				Base: b, Cur: cur, Ratio: cur / b, Threshold: threshold,
@@ -329,8 +333,12 @@ func (c *Comparison) Render(w io.Writer) bool {
 		fmt.Fprintf(w, "  missing:  %s (in baseline only — informational)\n", name)
 	}
 	for _, r := range c.Regressions {
-		fmt.Fprintf(w, "  REGRESSED [%s] %s: %g → %g %s (%.2fx > %.2fx gate)\n",
-			r.Family, r.Name, r.Base, r.Cur, r.Unit, r.Ratio, r.Threshold)
+		gate := fmt.Sprintf("%.2fx > %.2fx gate", r.Ratio, r.Threshold)
+		if r.Threshold == 0 {
+			gate = "exact gate"
+		}
+		fmt.Fprintf(w, "  REGRESSED [%s] %s: %g → %g %s (%s)\n",
+			r.Family, r.Name, r.Base, r.Cur, r.Unit, gate)
 	}
 	if len(c.Regressions) == 0 {
 		fmt.Fprintln(w, "benchgate: no regressions beyond the gates")

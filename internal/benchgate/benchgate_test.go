@@ -2,6 +2,7 @@ package benchgate
 
 import (
 	"encoding/json"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -69,13 +70,15 @@ func rpt(t *testing.T, fams map[string]map[string]float64) *Report {
 
 func TestFamilyTable(t *testing.T) {
 	// The table is the artifact contract: every declared family resolves,
-	// has a unit, an extractor and a sane default gate.
+	// has a unit, an extractor and a sane default gate: a ratio above 1, or
+	// exact with no ratio.
 	for _, f := range Families {
 		got, err := FamilyByName(f.Name)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got.Unit == "" || got.Extract == nil || got.Threshold <= 1 {
+		if got.Unit == "" || got.Extract == nil || got.Exact != (got.Threshold == 0) ||
+			!got.Exact && got.Threshold <= 1 {
 			t.Errorf("family %s is underdeclared: %+v", f.Name, got)
 		}
 	}
@@ -384,17 +387,32 @@ func TestCompareGatesModelS(t *testing.T) {
 		t.Errorf("verdict %q does not name the model_s family", sb.String())
 	}
 
-	// The same comparison with model_s improving must pass.
-	if err := cur.Set(FamilyModelS, map[string]float64{key: 60.0}); err != nil {
-		t.Fatal(err)
-	}
-	ok, err := Compare(base, cur, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sb.Reset()
-	if !ok.Render(&sb) {
-		t.Error("model_s improvement failed the gate")
+	// Simulated seconds are deterministic, so the gate is exact: a fall, a
+	// one-ulp rise and a one-ulp fall fail it too, and only the baseline's
+	// own value passes.
+	for _, tc := range []struct {
+		cur  float64
+		pass bool
+	}{
+		{60.0, false},
+		{math.Nextafter(82.0, math.Inf(1)), false},
+		{math.Nextafter(82.0, math.Inf(-1)), false},
+		{82.0, true},
+	} {
+		if err := cur.Set(FamilyModelS, map[string]float64{key: tc.cur}); err != nil {
+			t.Fatal(err)
+		}
+		c, err := Compare(base, cur, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sb.Reset()
+		if got := c.Render(&sb); got != tc.pass {
+			t.Errorf("model_s 82 → %v: gate passed = %v, want %v:\n%s", tc.cur, got, tc.pass, sb.String())
+		}
+		if !tc.pass && !strings.Contains(sb.String(), "exact gate") {
+			t.Errorf("verdict %q does not say the gate is exact", sb.String())
+		}
 	}
 }
 
@@ -463,5 +481,8 @@ func TestCompareRejectsBadOverrides(t *testing.T) {
 	}
 	if _, err := Compare(r, r, map[string]float64{"benchmurks": 2.0}); err == nil {
 		t.Error("override for an undeclared family accepted")
+	}
+	if _, err := Compare(r, r, map[string]float64{FamilyModelS: 1.5}); err == nil {
+		t.Error("override for the exact model_s family accepted")
 	}
 }

@@ -30,6 +30,10 @@ type Family struct {
 	// Threshold is the default gate ratio (> 1): current/base beyond it is a
 	// regression. Overridable per run with `-family name=ratio`.
 	Threshold float64
+	// Exact declares a deterministic family: an entry that differs from the
+	// baseline at all, up or down, is a regression, and no threshold or
+	// override applies.
+	Exact bool
 	// Source describes the input `-src name=path` expects, for usage text.
 	Source string
 	// Extract parses that source into the family's name → value entries.
@@ -42,8 +46,9 @@ type Family struct {
 //     shared, noisy runners, so the default gate is deliberately generous
 //     and the committed baseline may come from different hardware.
 //   - model_s: simulated paper-scale seconds from `c3ibench -json` run
-//     records. Deterministic for a given source tree, so the gate is tight:
-//     a breach is a model-shape regression even when host time is flat.
+//     records. Deterministic for a given source tree, so the gate is exact:
+//     any change, even a fall or one ulp, is a model change, which must come
+//     with a new baseline, even when host time is flat.
 //   - serve_latency: client-side serving-latency percentiles (milliseconds,
 //     per endpoint) from a `c3iload` artifact. Host-timing dependent like
 //     ns/op, hence a generous default — but a deliberately slowed server
@@ -55,7 +60,7 @@ var Families = []Family{
 		Extract: Parse,
 	},
 	{
-		Name: FamilyModelS, Unit: "s", Threshold: 1.5,
+		Name: FamilyModelS, Unit: "s", Exact: true,
 		Source:  "`c3ibench -json` records",
 		Extract: ParseRecords,
 	},
