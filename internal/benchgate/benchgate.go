@@ -298,7 +298,7 @@ func (c *Comparison) compareFamily(f Family, base, current map[string]float64, t
 			continue
 		}
 		c.Compared++
-		if f.Exact && cur != b || !f.Exact && b > 0 && cur/b > threshold {
+		if (f.Exact && cur != b) || (!f.Exact && b > 0 && cur/b > threshold) {
 			c.Regressions = append(c.Regressions, Regression{
 				Name: name, Family: f.Name, Unit: f.Unit,
 				Base: b, Cur: cur, Ratio: cur / b, Threshold: threshold,
