@@ -22,8 +22,9 @@
 // each granule's reference count and the offset at which the next granule
 // is entered. With stride s up to the granule size G, a granule entered at
 // an offset below s holds G/s or G/s+1 references, so the price of a cold
-// granule, which depends only on its reference count, takes two values
-// per burst. With s > G every reference lies in a granule of its own.
+// granule between the first and the last, which depends only on its
+// reference count, takes one of two values per burst. With s > G every
+// reference lies in a granule of its own.
 //
 // A burst that touches m granules, m more than twice the capacity C, goes
 // through the LRU only for its first C and its last C granules. Its granules
