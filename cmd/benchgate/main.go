@@ -14,9 +14,10 @@
 //	    -family benchmarks=2
 //
 // -family name=ratio overrides one ratio family's gate (repeatable; unset
-// families use the table defaults; an exact family rejects it). -src name=path feeds one family's source to
-// -parse (repeatable); bare `-parse` with no -src reads `go test -bench`
-// output from stdin, preserving the original pipe idiom.
+// families use the table defaults; an exact family rejects it). -src
+// name=path feeds one family's source to -parse (repeatable); bare `-parse`
+// with no -src reads `go test -bench` output from stdin, preserving the
+// original pipe idiom.
 package main
 
 import (

@@ -78,7 +78,7 @@ func TestFamilyTable(t *testing.T) {
 			t.Fatal(err)
 		}
 		if got.Unit == "" || got.Extract == nil || got.Exact != (got.Threshold == 0) ||
-			!got.Exact && got.Threshold <= 1 {
+			(!got.Exact && got.Threshold <= 1) {
 			t.Errorf("family %s is underdeclared: %+v", f.Name, got)
 		}
 	}
