@@ -29,7 +29,8 @@
 //	c3ibench -grid hypothesis-testing -json
 //	                               # sweep a workload's declared scenario grid:
 //	                               # one validated run record per grid point,
-//	                               # row-major over the declared axes
+//	                               # row-major over the declared axes, run as
+//	                               # the experiment grid:hypothesis-testing
 //	c3ibench -grid "hypothesis-testing=gate:24,48;net:0"
 //	                               # restrict axes to subsets of their declared
 //	                               # values (quote the = and ; for the shell)
@@ -48,8 +49,11 @@
 // rest of an -all sweep. In -json mode the emitted envelope carries an
 // explicit `failed` manifest naming those experiments, so a consumer gating
 // on the artifact can tell a complete sweep from a partial one. Invalid flag
-// values (a non-positive -jobs or -scale-*) are usage errors: exit 2, naming
-// the flag.
+// values (a non-positive -jobs or -scale-*, or a -grid value naming an
+// unknown workload or axis, an undeclared value, or a workload without a
+// grid) are usage errors: exit 2, naming the flag, before anything runs.
+// -grid is a standalone mode: its one experiment runs through the same loop,
+// envelope and failure manifest as -run.
 package main
 
 import (
@@ -76,8 +80,8 @@ func main() {
 }
 
 // c3ibench runs the command with the given arguments and returns its exit
-// status: 2 for a usage error, 1 when an experiment or the grid sweep failed
-// or an output file could not be written, 0 otherwise.
+// status: 2 for a usage error, 1 when an experiment failed or an output file
+// could not be written, 0 otherwise.
 func c3ibench(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("c3ibench", flag.ContinueOnError)
 	fs.SetOutput(stderr)
@@ -132,7 +136,11 @@ func c3ibench(args []string, stdout, stderr io.Writer) int {
 		return 0
 	}
 
+	// An ID resolves to its experiment when its turn comes, so an unknown ID
+	// is reported in place. -grid builds its one experiment here, so a bad
+	// grid value is a usage error before anything runs.
 	var ids []string
+	get := experiments.Get
 	switch {
 	case *grid != "":
 		// A grid sweep is a standalone mode: it emits one records envelope
@@ -144,6 +152,16 @@ func c3ibench(args []string, stdout, stderr io.Writer) int {
 		if *gridNP < 1 {
 			return usage("-grid-procs %d: must be at least 1", *gridNP)
 		}
+		name, restrict, err := parseGridFlag(*grid)
+		if err != nil {
+			return usage("%v", err)
+		}
+		e, err := experiments.Grid(name, *gridVar, *gridPlt, *gridNP, restrict)
+		if err != nil {
+			return usage("-grid %q: %v", *grid, err)
+		}
+		ids = []string{e.ID}
+		get = func(string) (experiments.Experiment, error) { return e, nil }
 	case *all:
 		ids = experiments.IDs()
 	case *runIDs != "":
@@ -169,35 +187,6 @@ func c3ibench(args []string, stdout, stderr io.Writer) int {
 	if err != nil {
 		return usage("%v", err)
 	}
-	// finish is both modes' epilogue. Profiles cover exactly the sweep; the
-	// snapshot and profile files are written even when the sweep failed, so
-	// a partial sweep still leaves evidence of where the time went.
-	finish := func(status int) int {
-		stopCPU()
-		if err := writeMemProfile(*memProf); err != nil {
-			fmt.Fprintf(stderr, "c3ibench: %v\n", err)
-			status = max(status, 1)
-		}
-		if err := writeStats(*stats, runner.Metrics(), stdout); err != nil {
-			fmt.Fprintf(stderr, "c3ibench: %v\n", err)
-			status = max(status, 1)
-		}
-		return status
-	}
-
-	if *grid != "" {
-		status := 0
-		if err := gridSweep(stdout, *grid, *gridVar, *gridPlt, *gridNP, exec, *jsonOut, *md); err != nil {
-			fmt.Fprintf(stderr, "c3ibench: %v\n", err)
-			status = 2 // bad flag value, unknown workload/axis, undeclared point
-			var se *sweepError
-			if errors.As(err, &se) {
-				status = 1 // the sweep itself failed
-			}
-		}
-		return finish(status)
-	}
-
 	cfg := experiments.Config{Scales: map[string]float64{}, Executor: exec}
 	for name, s := range scales {
 		cfg.Scales[name] = *s
@@ -211,7 +200,7 @@ func c3ibench(args []string, stdout, stderr io.Writer) int {
 	for _, id := range ids {
 		id = strings.TrimSpace(id)
 		start := time.Now()
-		e, err := experiments.Get(id)
+		e, err := get(id)
 		var res *experiments.Result
 		if err == nil {
 			res, err = e.Run(cfg)
@@ -246,7 +235,19 @@ func c3ibench(args []string, stdout, stderr io.Writer) int {
 		}
 		fmt.Fprintf(stderr, "[%s in %.1fs]\n", e.ID, elapsed.Seconds())
 	}
-	status := finish(0)
+	// The epilogue: profiles cover exactly the sweep, and the snapshot and
+	// profile files are written even when the sweep failed, so a partial
+	// sweep still leaves evidence of where the time went.
+	status := 0
+	stopCPU()
+	if err := writeMemProfile(*memProf); err != nil {
+		fmt.Fprintf(stderr, "c3ibench: %v\n", err)
+		status = 1
+	}
+	if err := writeStats(*stats, runner.Metrics(), stdout); err != nil {
+		fmt.Fprintf(stderr, "c3ibench: %v\n", err)
+		status = 1
+	}
 	if *jsonOut {
 		// Emit whatever completed even when some experiments failed — the
 		// same partial-failure contract as the rendered-table mode, with

@@ -1,9 +1,7 @@
 package main
 
 import (
-	"context"
 	"encoding/json"
-	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -72,16 +70,14 @@ func TestParseGridFlag(t *testing.T) {
 
 func TestGridSweepJSONEnvelope(t *testing.T) {
 	// A restricted sweep must land one validated record per grid point in a
-	// benchgate-parseable envelope with an empty failure manifest, and the
-	// host wall clock zeroed so the artifact is deterministic.
-	var sb strings.Builder
-	err := gridSweep(&sb, "hypothesis-testing=scale:0.05;gate:24,48;prune:0;net:0,1",
-		"", "tera", 2, run.NewRunner(1), true, false)
-	if err != nil {
-		t.Fatal(err)
+	// benchgate-parseable envelope with an empty failure manifest, timed on
+	// the host like any experiment's records.
+	code, out, errOut := runC3ibench("-grid", "hypothesis-testing=scale:0.05;gate:24,48;prune:0;net:0,1", "-json")
+	if code != 0 {
+		t.Fatalf("exit status %d: %s", code, errOut)
 	}
 	var set run.RecordSet
-	if err := json.Unmarshal([]byte(sb.String()), &set); err != nil {
+	if err := json.Unmarshal([]byte(out), &set); err != nil {
 		t.Fatal(err)
 	}
 	if len(set.Failed) != 0 {
@@ -96,8 +92,8 @@ func TestGridSweepJSONEnvelope(t *testing.T) {
 	}
 	seen := map[string]bool{}
 	for _, rec := range recs {
-		if rec.HostElapsed != 0 {
-			t.Errorf("%s: host_elapsed_ns = %d, want 0 (deterministic envelope)", rec.Key, rec.HostElapsed)
+		if rec.HostElapsed <= 0 {
+			t.Errorf("%s: host_elapsed_ns = %d, want the cell's positive host time", rec.Key, rec.HostElapsed)
 		}
 		if rec.Checksum == 0 {
 			t.Errorf("%s: zero checksum — grid points must validate", rec.Key)
@@ -107,20 +103,54 @@ func TestGridSweepJSONEnvelope(t *testing.T) {
 		}
 		seen[rec.Key] = true
 	}
+	if !strings.Contains(errOut, "[grid:hypothesis-testing in ") {
+		t.Errorf("stderr lacks the experiment's timing line:\n%s", errOut)
+	}
 }
 
 func TestGridSweepTableHasAxisColumns(t *testing.T) {
-	var sb strings.Builder
-	err := gridSweep(&sb, "hypothesis-testing=scale:0.05;gate:24;prune:0;net:0",
-		"", "tera", 2, run.NewRunner(1), false, false)
-	if err != nil {
-		t.Fatal(err)
+	// One column per axis, then the paper-scale model seconds and the
+	// checksum, as in every other table.
+	code, out, errOut := runC3ibench("-grid", "hypothesis-testing=scale:0.05;gate:24;prune:0;net:0")
+	if code != 0 {
+		t.Fatalf("exit status %d: %s", code, errOut)
 	}
-	out := sb.String()
-	for _, col := range []string{"scale", "gate", "prune", "net", "Checksum"} {
+	for _, col := range []string{"scale", "gate", "prune", "net", "Model (s)", "Checksum"} {
 		if !strings.Contains(out, col) {
 			t.Errorf("table output missing column %q:\n%s", col, out)
 		}
+	}
+	if strings.Contains(out, "Paper-scale") {
+		t.Errorf("table output has a second seconds column:\n%s", out)
+	}
+}
+
+func TestGridSweepMatchesHTGrid(t *testing.T) {
+	// ht-grid is the Hypothesis Testing grid through the fine variant on
+	// two Tera processors, so -grid with the same settings prints the same
+	// header and rows; only the title and notes differ.
+	tableLines := func(args ...string) []string {
+		t.Helper()
+		code, out, errOut := runC3ibench(args...)
+		if code != 0 {
+			t.Fatalf("%v: exit status %d: %s", args, code, errOut)
+		}
+		var lines []string
+		for _, line := range strings.Split(out, "\n") {
+			if strings.HasPrefix(line, "│") {
+				lines = append(lines, line)
+			}
+		}
+		return lines
+	}
+	grid := tableLines("-grid", "hypothesis-testing", "-grid-variant", "fine", "-jobs", "2")
+	htGrid := tableLines("-run", "ht-grid", "-jobs", "2")
+	if len(grid) != 82 {
+		t.Errorf("-grid printed %d header and row lines, want 82 (81 points)", len(grid))
+	}
+	if !slices.Equal(grid, htGrid) {
+		t.Errorf("-grid rows differ from ht-grid's:\n%s\nvs\n%s",
+			strings.Join(grid, "\n"), strings.Join(htGrid, "\n"))
 	}
 }
 
@@ -156,43 +186,39 @@ func TestGridSweepWritesStatsAndProfiles(t *testing.T) {
 	}
 }
 
-// failingExecutor fails every batch, as an unreachable fleet does.
-type failingExecutor struct{}
-
-func (failingExecutor) Run(context.Context, run.Spec) (run.Record, error) {
-	return run.Record{}, errors.New("fleet unreachable")
-}
-
-func (failingExecutor) RunAll(context.Context, []run.Spec) ([]run.Record, error) {
-	return nil, errors.New("fleet unreachable")
-}
-
 func TestGridSweepExecutionFailureEmitsFailedManifest(t *testing.T) {
-	// When the executor dies mid-sweep the JSON contract still holds: an
-	// envelope with an explicit failure entry, and an error main maps to
-	// exit 1 (execution) rather than exit 2 (usage).
-	var sb strings.Builder
-	err := gridSweep(&sb, "hypothesis-testing=scale:0.05;gate:24;prune:0;net:0",
-		"", "tera", 2, failingExecutor{}, true, false)
-	var se *sweepError
-	if !errors.As(err, &se) {
-		t.Fatalf("err = %v, want a *sweepError", err)
+	// When the executor is unreachable the JSON contract still holds: an
+	// envelope with an explicit failure entry, and exit 1 (execution)
+	// rather than exit 2 (usage).
+	code, out, errOut := runC3ibench("-grid", "hypothesis-testing=scale:0.05;gate:24;prune:0;net:0",
+		"-json", "-remote", "http://127.0.0.1:1")
+	if code != 1 {
+		t.Errorf("unreachable executor: exit status %d, want 1: %s", code, errOut)
 	}
 	var set run.RecordSet
-	if err := json.Unmarshal([]byte(sb.String()), &set); err != nil {
+	if err := json.Unmarshal([]byte(out), &set); err != nil {
 		t.Fatal(err)
 	}
 	if len(set.Experiments) != 0 {
 		t.Errorf("experiments = %+v, want empty", set.Experiments)
 	}
-	if len(set.Failed) != 1 || !strings.Contains(set.Failed[0].Error, "fleet unreachable") {
-		t.Errorf("failure manifest = %+v", set.Failed)
+	if len(set.Failed) != 1 || set.Failed[0].Experiment != "grid:hypothesis-testing" || set.Failed[0].Error == "" {
+		t.Errorf("failure manifest = %+v, want grid:hypothesis-testing with its error", set.Failed)
 	}
 
-	// Usage-shaped failures (an undeclared value) are not sweepErrors.
-	err = gridSweep(&sb, "hypothesis-testing=gate:17", "", "tera", 2, run.NewRunner(1), true, false)
-	if err == nil || errors.As(err, &se) {
-		t.Errorf("undeclared grid value: err = %v, want a plain (usage) error", err)
+	// Usage-shaped failures exit 2 before anything runs.
+	for flagVal, want := range map[string]string{
+		"hypothesis-testing=gate:17": "no declared value",
+		"hypothesis-testing=bogus:1": "no axis",
+		"hypothesis-testing=gate:x":  "not a number",
+		"no-such-workload":           "no-such-workload",
+		"threat-analysis":            "declares no scenario grid",
+	} {
+		code, out, errOut = runC3ibench("-grid", flagVal, "-json")
+		if code != 2 || out != "" || !strings.Contains(errOut, want) {
+			t.Errorf("-grid %q: exit status %d, stdout %q, stderr %q; want 2, nothing, mention of %q",
+				flagVal, code, out, errOut, want)
+		}
 	}
 }
 

@@ -26,7 +26,7 @@ func Register() {
 			{Name: "coarse", Style: suite.Coarse, Defaults: shared.Merged(suite.Params{"chunks": 8}), Run: run},
 		},
 		Grid: &suite.Grid{Axes: []suite.Axis{
-			{Name: "chunks", Kind: suite.AxisParam, Values: []float64{4, 8}},
+			{Name: "chunks", Values: []float64{4, 8}},
 		}},
 	})
 	_ = suite.Params{"chunks": 16}

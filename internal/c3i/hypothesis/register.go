@@ -44,13 +44,13 @@ func init() {
 		// defaults pin the paper point (the registered default scale, the
 		// default scoring controls, the calibrated network).
 		Grid: &suite.Grid{Axes: []suite.Axis{
-			{Name: "scale", Kind: suite.AxisScale, Unit: "fraction of paper scale",
+			{Name: "scale", Unit: "fraction of paper scale",
 				Values: []float64{0.05, 0.1, 0.25}, Default: 0.25},
-			{Name: "gate", Kind: suite.AxisParam, Unit: "field units",
+			{Name: "gate", Unit: "field units",
 				Values: []float64{24, 32, 48}, Default: DefaultGate},
-			{Name: "prune", Kind: suite.AxisParam, Unit: "per-mille of best score",
+			{Name: "prune", Unit: "per-mille of best score",
 				Values: []float64{0, 250, 500}, Default: DefaultPrune},
-			{Name: "net", Kind: suite.AxisNet, Unit: "latency multiplier (0 = calibrated)",
+			{Name: "net", Unit: "latency multiplier (0 = calibrated)",
 				Values: []float64{0, 1, 2.5}, Default: 0},
 		}},
 		Variants: []*suite.Variant{

@@ -114,9 +114,9 @@ func init() {
 		// DefaultEpsilon trade exactness for speed, and the styles only
 		// provably agree at the exact optimum.)
 		Grid: &suite.Grid{Axes: []suite.Axis{
-			{Name: "scale", Kind: suite.AxisScale, Unit: "fraction of paper scale",
+			{Name: "scale", Unit: "fraction of paper scale",
 				Values: []float64{0.04, 0.1, 0.25}, Default: 0.25},
-			{Name: "gate", Kind: suite.AxisParam, Unit: "field units",
+			{Name: "gate", Unit: "field units",
 				Values: []float64{DefaultGate, 2 * DefaultGate}, Default: DefaultGate},
 		}},
 		Variants: []*suite.Variant{

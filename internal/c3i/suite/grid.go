@@ -17,36 +17,17 @@ import (
 	"strings"
 )
 
-// AxisKind says how one grid axis lands on a run description.
-type AxisKind string
-
-const (
-	// AxisScale values are workload scales (fractions of the paper-scale
-	// unit count); the axis must be named "scale" and a grid declares at
-	// most one.
-	AxisScale AxisKind = "scale"
-	// AxisParam values are integer variant tunables; the axis name is the
-	// parameter name and must be a default of every variant, so no program
-	// style can silently ignore the axis.
-	AxisParam AxisKind = "param"
-	// AxisNet values are Tera MTA network-latency multipliers (0 = the
-	// calibrated default); the axis must be named "net" and a grid declares
-	// at most one. Sweeping it requires platform "tera".
-	AxisNet AxisKind = "net-latency"
-)
-
-// Valid reports whether k is a declared axis kind.
-func (k AxisKind) Valid() bool {
-	return k == AxisScale || k == AxisParam || k == AxisNet
-}
-
-// Axis is one named dimension of a workload's scenario grid.
+// Axis is one named dimension of a workload's scenario grid. Its name
+// alone says where a value lands on a run description: "scale" values are
+// workload scales (fractions of the paper-scale unit count), "net" values
+// are Tera MTA network-latency multipliers (0 = the calibrated network, so
+// sweeping a nonzero value requires platform "tera"), and any other name is
+// an integer variant tunable that every variant must declare a default for,
+// so no program style can silently ignore the axis.
 type Axis struct {
-	// Name identifies the axis ("scale", "gate", "prune", "net") — the
-	// parameter name for AxisParam axes, and the key of Point.
+	// Name identifies the axis ("scale", "gate", "prune", "net") and is the
+	// key of Point.
 	Name string
-	// Kind says how a value lands on a run description.
-	Kind AxisKind
 	// Unit is the human-readable unit for listings ("field units").
 	Unit string
 	// Values are the axis's declared discrete values. Sweeps and sub-grids
@@ -74,19 +55,8 @@ type Grid struct {
 	Axes []Axis
 }
 
-// Point is one grid coordinate: axis name → declared value. Axes omitted
-// from a Point resolve to their registered defaults in Apply.
+// Point is one grid coordinate: axis name → declared value.
 type Point map[string]float64
-
-// Binding is a Point resolved against the grid: the pieces a run.Spec is
-// built from. Zero Scale means "the workload's default scale" (no scale
-// axis declared); zero NetLatencyMult means "the platform's calibrated
-// network".
-type Binding struct {
-	Scale          float64
-	Params         Params
-	NetLatencyMult float64
-}
 
 // Axis returns the named axis.
 func (g *Grid) Axis(name string) (Axis, error) {
@@ -127,16 +97,6 @@ func (g *Grid) Points() []Point {
 		pts = next
 	}
 	return pts
-}
-
-// DefaultPoint returns the registered paper point: every axis at its
-// default value.
-func (g *Grid) DefaultPoint() Point {
-	p := make(Point, len(g.Axes))
-	for _, a := range g.Axes {
-		p[a.Name] = a.Default
-	}
-	return p
 }
 
 // Sub returns the sub-grid with each named axis restricted to the listed
@@ -185,42 +145,9 @@ func (g *Grid) Sub(restrict map[string][]float64) (*Grid, error) {
 	return sub, nil
 }
 
-// Apply resolves a Point against the grid: omitted axes take their
-// defaults, unknown keys and undeclared values are errors.
-func (g *Grid) Apply(p Point) (Binding, error) {
-	for name := range p {
-		if _, err := g.Axis(name); err != nil {
-			return Binding{}, err
-		}
-	}
-	b := Binding{}
-	for _, a := range g.Axes {
-		v := a.Default
-		if pv, ok := p[a.Name]; ok {
-			if !a.declared(pv) {
-				return Binding{}, fmt.Errorf("suite: grid axis %q has no declared value %g (declared: %s)",
-					a.Name, pv, formatValues(a.Values))
-			}
-			v = pv
-		}
-		switch a.Kind {
-		case AxisScale:
-			b.Scale = v
-		case AxisParam:
-			if b.Params == nil {
-				b.Params = Params{}
-			}
-			b.Params[a.Name] = int(v)
-		case AxisNet:
-			b.NetLatencyMult = v
-		}
-	}
-	return b, nil
-}
-
 // PointLabel renders a Point canonically: "axis=value" in declared axis
-// order, joined with ",". Omitted axes render their defaults, so equal
-// bindings label equally.
+// order, joined with ",". Omitted axes render their defaults, so points
+// that differ only by spelling a default out label equally.
 func (g *Grid) PointLabel(p Point) string {
 	parts := make([]string, 0, len(g.Axes))
 	for _, a := range g.Axes {
@@ -249,17 +176,16 @@ func checkGrid(w *Workload) error {
 		return fmt.Errorf("suite: workload %s declares an empty grid", w.Name)
 	}
 	seen := map[string]bool{}
-	kinds := map[AxisKind]int{}
 	for _, a := range g.Axes {
 		switch {
 		case a.Name == "":
 			return fmt.Errorf("suite: workload %s declares an unnamed grid axis", w.Name)
 		case strings.ContainsAny(a.Name, " =:;,"):
 			return fmt.Errorf("suite: workload %s grid axis %q: names must be flag-syntax safe", w.Name, a.Name)
+		case a.Name == ValidateParam:
+			return fmt.Errorf("suite: workload %s grid axis name %q is reserved", w.Name, a.Name)
 		case seen[a.Name]:
 			return fmt.Errorf("suite: workload %s declares grid axis %q twice", w.Name, a.Name)
-		case !a.Kind.Valid():
-			return fmt.Errorf("suite: workload %s grid axis %q has invalid kind %q", w.Name, a.Name, a.Kind)
 		case len(a.Values) == 0:
 			return fmt.Errorf("suite: workload %s grid axis %q declares no values", w.Name, a.Name)
 		case !a.declared(a.Default):
@@ -267,52 +193,31 @@ func checkGrid(w *Workload) error {
 				w.Name, a.Name, a.Default)
 		}
 		seen[a.Name] = true
-		kinds[a.Kind]++
+		param := a.Name != "scale" && a.Name != "net"
 		vseen := map[float64]bool{}
 		for _, v := range a.Values {
 			if vseen[v] {
 				return fmt.Errorf("suite: workload %s grid axis %q declares value %g twice", w.Name, a.Name, v)
 			}
 			vseen[v] = true
-		}
-		switch a.Kind {
-		case AxisScale:
-			if a.Name != "scale" {
-				return fmt.Errorf("suite: workload %s scale axis must be named \"scale\", got %q", w.Name, a.Name)
-			}
-			for _, v := range a.Values {
-				if v <= 0 {
-					return fmt.Errorf("suite: workload %s grid axis scale value %g, need positive", w.Name, v)
-				}
-			}
-		case AxisNet:
-			if a.Name != "net" {
-				return fmt.Errorf("suite: workload %s net axis must be named \"net\", got %q", w.Name, a.Name)
-			}
-			for _, v := range a.Values {
-				if v < 0 {
-					return fmt.Errorf("suite: workload %s grid axis net value %g, need ≥ 0", w.Name, v)
-				}
-			}
-		case AxisParam:
-			if a.Name == ValidateParam || a.Name == "scale" || a.Name == "net" {
-				return fmt.Errorf("suite: workload %s param axis name %q is reserved", w.Name, a.Name)
-			}
-			for _, v := range a.Values {
-				if v != math.Trunc(v) {
-					return fmt.Errorf("suite: workload %s param axis %q value %g is not an integer", w.Name, a.Name, v)
-				}
-			}
-			for _, vr := range w.Variants {
-				if _, ok := vr.Defaults[a.Name]; !ok {
-					return fmt.Errorf("suite: workload %s grid axis %q is not a default of variant %s — a style would silently ignore the axis",
-						w.Name, a.Name, vr.Name)
-				}
+			switch {
+			case a.Name == "scale" && v <= 0:
+				return fmt.Errorf("suite: workload %s grid axis scale value %g, need positive", w.Name, v)
+			case a.Name == "net" && v < 0:
+				return fmt.Errorf("suite: workload %s grid axis net value %g, need ≥ 0", w.Name, v)
+			case param && v != math.Trunc(v):
+				return fmt.Errorf("suite: workload %s param axis %q value %g is not an integer", w.Name, a.Name, v)
 			}
 		}
-	}
-	if kinds[AxisScale] > 1 || kinds[AxisNet] > 1 {
-		return fmt.Errorf("suite: workload %s declares more than one scale or net grid axis", w.Name)
+		if !param {
+			continue
+		}
+		for _, vr := range w.Variants {
+			if _, ok := vr.Defaults[a.Name]; !ok {
+				return fmt.Errorf("suite: workload %s grid axis %q is not a default of variant %s — a style would silently ignore the axis",
+					w.Name, a.Name, vr.Name)
+			}
+		}
 	}
 	return nil
 }

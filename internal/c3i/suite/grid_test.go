@@ -22,9 +22,9 @@ func gridWorkload(name, key string) *Workload {
 		Generate:         func(scale float64) []Scenario { return nil },
 		New:              func() Scenario { return testScenario{} },
 		Grid: &Grid{Axes: []Axis{
-			{Name: "scale", Kind: AxisScale, Values: []float64{0.1, 0.5, 1}, Default: 1},
-			{Name: "gate", Kind: AxisParam, Values: []float64{10, 20, 40}, Default: 20},
-			{Name: "net", Kind: AxisNet, Values: []float64{0, 1.4}, Default: 0},
+			{Name: "scale", Values: []float64{0.1, 0.5, 1}, Default: 1},
+			{Name: "gate", Values: []float64{10, 20, 40}, Default: 20},
+			{Name: "net", Values: []float64{0, 1.4}, Default: 0},
 		}},
 		Variants: []*Variant{
 			{Name: "sequential", Style: Sequential, Defaults: shared, Run: run},
@@ -36,8 +36,8 @@ func gridWorkload(name, key string) *Workload {
 
 func TestGridPointsRowMajor(t *testing.T) {
 	g := &Grid{Axes: []Axis{
-		{Name: "a", Kind: AxisParam, Values: []float64{1, 2}, Default: 1},
-		{Name: "b", Kind: AxisParam, Values: []float64{10, 20}, Default: 10},
+		{Name: "a", Values: []float64{1, 2}, Default: 1},
+		{Name: "b", Values: []float64{10, 20}, Default: 10},
 	}}
 	if n := g.NumPoints(); n != 4 {
 		t.Fatalf("NumPoints = %d, want 4", n)
@@ -62,43 +62,12 @@ func TestGridPointsRowMajor(t *testing.T) {
 func TestGridDefaultPointAndLabel(t *testing.T) {
 	w := gridWorkload("test-grid-label", "t-glb")
 	g := w.Grid
-	dp := g.DefaultPoint()
-	if dp["scale"] != 1 || dp["gate"] != 20 || dp["net"] != 0 {
-		t.Errorf("DefaultPoint = %v", dp)
-	}
-	if got := g.PointLabel(dp); got != "scale=1,gate=20,net=0" {
+	if got := g.PointLabel(Point{"scale": 1, "gate": 20, "net": 0}); got != "scale=1,gate=20,net=0" {
 		t.Errorf("PointLabel(default) = %q", got)
 	}
-	// Omitted axes render their defaults, so equal bindings label equally.
+	// Omitted axes render their defaults, so equal points label equally.
 	if got := g.PointLabel(Point{"gate": 40}); got != "scale=1,gate=40,net=0" {
 		t.Errorf("PointLabel(partial) = %q", got)
-	}
-}
-
-func TestGridApply(t *testing.T) {
-	g := gridWorkload("test-grid-apply", "t-gap").Grid
-	b, err := g.Apply(Point{"scale": 0.5, "gate": 40, "net": 1.4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if b.Scale != 0.5 || b.Params["gate"] != 40 || b.NetLatencyMult != 1.4 {
-		t.Errorf("Apply = %+v", b)
-	}
-	// Omitted axes resolve to defaults.
-	b, err = g.Apply(Point{"gate": 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if b.Scale != 1 || b.Params["gate"] != 10 || b.NetLatencyMult != 0 {
-		t.Errorf("Apply(partial) = %+v", b)
-	}
-	if _, err := g.Apply(Point{"bogus": 1}); err == nil ||
-		!strings.Contains(err.Error(), "no axis") {
-		t.Errorf("unknown key: err = %v", err)
-	}
-	if _, err := g.Apply(Point{"gate": 15}); err == nil ||
-		!strings.Contains(err.Error(), "no declared value") {
-		t.Errorf("undeclared value: err = %v", err)
 	}
 }
 
@@ -157,33 +126,26 @@ func TestGridRegistersAndValidates(t *testing.T) {
 		{"unnamed axis", func(w *Workload) { w.Grid.Axes[1].Name = "" }, "unnamed"},
 		{"unsafe name", func(w *Workload) { w.Grid.Axes[1].Name = "ga te" }, "flag-syntax safe"},
 		{"duplicate axis", func(w *Workload) { w.Grid.Axes[1].Name = "scale" }, "twice"},
-		{"invalid kind", func(w *Workload) { w.Grid.Axes[1].Kind = "fuzzy" }, "invalid kind"},
 		{"no values", func(w *Workload) { w.Grid.Axes[1].Values = nil }, "no values"},
 		{"undeclared default", func(w *Workload) { w.Grid.Axes[1].Default = 99 }, "not a declared value"},
 		{"duplicate value", func(w *Workload) { w.Grid.Axes[1].Values = []float64{10, 20, 10} }, "twice"},
-		{"misnamed scale axis", func(w *Workload) { w.Grid.Axes[0].Name = "size" }, `named "scale"`},
 		{"non-positive scale", func(w *Workload) {
 			w.Grid.Axes[0].Values = []float64{0, 1}
 			w.Grid.Axes[0].Default = 1
 		}, "positive"},
-		{"misnamed net axis", func(w *Workload) { w.Grid.Axes[2].Name = "latency" }, `named "net"`},
 		{"negative net", func(w *Workload) {
 			w.Grid.Axes[2].Values = []float64{-1, 0}
 			w.Grid.Axes[2].Default = 0
 		}, "≥ 0"},
 		{"reserved param name", func(w *Workload) {
-			w.Grid.Axes[1] = Axis{Name: ValidateParam, Kind: AxisParam, Values: []float64{1}, Default: 1}
+			w.Grid.Axes[1] = Axis{Name: ValidateParam, Values: []float64{1}, Default: 1}
 		}, "reserved"},
 		{"non-integer param", func(w *Workload) {
 			w.Grid.Axes[1].Values = []float64{10, 20, 20.5}
 		}, "not an integer"},
 		{"param missing from a variant", func(w *Workload) {
-			w.Grid.Axes[1] = Axis{Name: "depth", Kind: AxisParam, Values: []float64{2}, Default: 2}
+			w.Grid.Axes[1] = Axis{Name: "depth", Values: []float64{2}, Default: 2}
 		}, "silently ignore"},
-		{"two scale axes", func(w *Workload) {
-			w.Grid.Axes[1] = w.Grid.Axes[0]
-			w.Grid.Axes[1].Name = "scale2"
-		}, `named "scale"`},
 	}
 	for _, tc := range cases {
 		w := gridWorkload("test-grid-bad", "t-gbad")

@@ -193,7 +193,7 @@ func All() []Experiment {
 	all = append(all, plotExt.experiments()...)
 	all = append(all, Experiment{"pt-pipelined", "Plot-Track Assignment exposed-latency ablation (dependent price loads vs perfect lookahead)", runPlotPipelined})
 	all = append(all, hypoExt.experiments()...)
-	return append(all, Experiment{"ht-grid", "Hypothesis Testing over the declared scenario grid (scale × gate × prune × network)", runHypoGrid})
+	return append(all, Experiment{"ht-grid", "Hypothesis Testing over the declared scenario grid (scale × gate × prune × network)", hypoGrid})
 }
 
 // Get returns the experiment with the given ID.

@@ -232,48 +232,73 @@ func runPlotPipelined(x *Exec) (*Result, error) {
 	return &Result{Tables: []*report.Table{tb}}, nil
 }
 
-// runHypoGrid sweeps the workload's declared scenario grid — every
-// combination of scale, gating window, prune threshold and network maturity
-// — through the fine-grained variant on a two-processor MTA. Unlike the
-// other experiments, each point carries its own scale (the grid's scale
-// axis), so the configured scale does not apply; every Spec validates, so
-// every row carries the output checksum the grid-wide conformance contract
-// is stated over.
-func runHypoGrid(x *Exec) (*Result, error) {
+// Grid returns the experiment that sweeps a workload's declared scenario
+// grid, restricted when restrict is non-empty to subsets of the declared
+// axis values: one validated cell per point (see run.GridSpecs) through
+// variant (empty: the workload's reference) on procs processors of
+// platform. Its ID is "grid:<workload>". It fails before anything runs on
+// an unknown workload, variant or axis, an undeclared value, or a workload
+// that declares no grid.
+func Grid(workload, variant, platform string, procs int, restrict map[string][]float64) (Experiment, error) {
+	pts, err := run.GridSpecs(workload, variant, platform, procs, restrict)
+	if err != nil {
+		return Experiment{}, err
+	}
+	w, err := suite.Lookup(workload)
+	if err != nil {
+		return Experiment{}, err
+	}
+	if variant == "" {
+		variant = w.Reference
+	}
+	id := "grid:" + workload
+	title := fmt.Sprintf("%s scenario grid (%s on %s, %d procs, %d points)",
+		w.Title, variant, platform, procs, len(pts))
+	return Experiment{id, title, func(x *Exec) (*Result, error) {
+		return runGrid(x, w, pts, &report.Table{ID: id, Title: title, Notes: []string{
+			"row-major over the declared axes; every point validates, so every row carries the conformance checksum",
+		}})
+	}}, nil
+}
+
+// hypoGrid is ht-grid: the Hypothesis Testing grid — every combination of
+// scale, gating window, prune threshold and network maturity — through the
+// fine-grained variant on a two-processor MTA.
+func hypoGrid(x *Exec) (*Result, error) {
 	pts, err := run.GridSpecs(HT, "fine", "tera", 2, nil)
 	if err != nil {
 		return nil, err
 	}
-	w, err := suite.Lookup(HT)
-	if err != nil {
-		return nil, err
-	}
-	cols := []string{}
-	for _, a := range w.Grid.Axes {
-		cols = append(cols, a.Name)
-	}
-	cols = append(cols, "Model (s)", "Checksum")
-	tb := &report.Table{
-		ID:      "ht-grid",
-		Title:   "Hypothesis Testing over the declared scenario grid (fine-grained, two-processor Tera MTA)",
-		Columns: cols,
+	return runGrid(x, mustWorkload(HT), pts, &report.Table{
+		ID:    "ht-grid",
+		Title: "Hypothesis Testing over the declared scenario grid (fine-grained, two-processor Tera MTA)",
 		Notes: []string{
 			fmt.Sprintf("%d grid points, row-major over the declared axes; net 0 is the calibrated network", len(pts)),
 			"model seconds normalized per point to the suite's full observation load at that point's scale",
 		},
-	}
+	})
+}
+
+// runGrid is the grid-sweep body: it runs the points' Specs as one batch
+// and adds a row per point to tb, holding the point's axis values, its model
+// seconds normalized to paper scale and its checksum. Unlike the other
+// experiments, each point carries its own scale (the grid's scale axis), so
+// the configured scale does not apply.
+func runGrid(x *Exec, w *suite.Workload, pts []run.GridPoint, tb *report.Table) (*Result, error) {
 	recs, err := x.RunAll(specsOf(pts, func(gp run.GridPoint) run.Spec { return gp.Spec }))
 	if err != nil {
 		return nil, err
 	}
+	for _, a := range w.Grid.Axes {
+		tb.Columns = append(tb.Columns, a.Name)
+	}
+	tb.Columns = append(tb.Columns, "Model (s)", "Checksum")
 	for i, gp := range pts {
-		rec := recs[i]
 		row := []any{}
 		for _, a := range w.Grid.Axes {
 			row = append(row, fmt.Sprintf("%g", gp.Point[a.Name]))
 		}
-		row = append(row, rec.PaperSeconds, fmt.Sprintf("%016x", uint64(rec.Checksum)))
-		tb.AddRow(row...)
+		tb.AddRow(append(row, recs[i].PaperSeconds, fmt.Sprintf("%016x", uint64(recs[i].Checksum)))...)
 	}
 	return &Result{Tables: []*report.Table{tb}}, nil
 }

@@ -2,7 +2,8 @@ package experiments
 
 // The paper's published measurements, used as the reference columns of every
 // reproduced table and figure. All times are seconds, totals over the five
-// benchmark input scenarios.
+// benchmark input scenarios. Tables 7 and 12 repeat rows of Tables 2–5 and
+// 8–11, so they read their paper column from those.
 
 // PaperTable2 — sequential Threat Analysis without parallelization.
 var PaperTable2 = map[string]float64{

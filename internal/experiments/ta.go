@@ -196,18 +196,18 @@ func runTable6(x *Exec) (*Result, error) {
 // parallelization strategies and platforms.
 func runTable7(x *Exec) (*Result, error) {
 	return summary(x, "table7", TA, []summaryCell{
-		{"None", "Alpha", 187, taSeq(x, "alpha", 1)},
-		{"None", "Pentium Pro", 458, taSeq(x, "ppro", 4)},
-		{"None", "Exemplar", 343, taSeq(x, "exemplar", 16)},
-		{"None", "Tera", 2584, taSeq(x, "tera", 1)},
-		{"Automatic", "Exemplar", 343, taSeq(x, "exemplar", 16)},
-		{"Automatic", "Tera", 2584, taSeq(x, "tera", 1)},
-		{"Manual", "Pentium Pro (4 processors)", 117, taChunked(x, "ppro", 4, 4)},
-		{"Manual", "Exemplar (4 processors)", 87, taChunked(x, "exemplar", 4, 4)},
-		{"Manual", "Exemplar (8 processors)", 43, taChunked(x, "exemplar", 8, 8)},
-		{"Manual", "Exemplar (16 processors)", 22, taChunked(x, "exemplar", 16, 16)},
-		{"Manual", "Tera MTA (1 processor)", 82, taChunked(x, "tera", 1, 256)},
-		{"Manual", "Tera MTA (2 processors)", 46, taChunked(x, "tera", 2, 256)},
+		{"None", "Alpha", PaperTable2["Alpha"], taSeq(x, "alpha", 1)},
+		{"None", "Pentium Pro", PaperTable2["Pentium Pro"], taSeq(x, "ppro", 4)},
+		{"None", "Exemplar", PaperTable2["Exemplar"], taSeq(x, "exemplar", 16)},
+		{"None", "Tera", PaperTable2["Tera"], taSeq(x, "tera", 1)},
+		{"Automatic", "Exemplar", PaperTable2["Exemplar"], taSeq(x, "exemplar", 16)},
+		{"Automatic", "Tera", PaperTable2["Tera"], taSeq(x, "tera", 1)},
+		{"Manual", "Pentium Pro (4 processors)", PaperTable3[4], taChunked(x, "ppro", 4, 4)},
+		{"Manual", "Exemplar (4 processors)", PaperTable4[4], taChunked(x, "exemplar", 4, 4)},
+		{"Manual", "Exemplar (8 processors)", PaperTable4[8], taChunked(x, "exemplar", 8, 8)},
+		{"Manual", "Exemplar (16 processors)", PaperTable4[16], taChunked(x, "exemplar", 16, 16)},
+		{"Manual", "Tera MTA (1 processor)", PaperTable5[1], taChunked(x, "tera", 1, 256)},
+		{"Manual", "Tera MTA (2 processors)", PaperTable5[2], taChunked(x, "tera", 2, 256)},
 	})
 }
 

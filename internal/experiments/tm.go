@@ -90,17 +90,17 @@ func runTable11(x *Exec) (*Result, error) {
 // runTable12 reproduces Table 12: the Terrain Masking summary.
 func runTable12(x *Exec) (*Result, error) {
 	return summary(x, "table12", TM, []summaryCell{
-		{"None", "Alpha", 158, tmSeq(x, "alpha", 1)},
-		{"None", "Pentium Pro", 197, tmSeq(x, "ppro", 4)},
-		{"None", "Exemplar", 228, tmSeq(x, "exemplar", 16)},
-		{"None", "Tera", 978, tmSeq(x, "tera", 1)},
-		{"Automatic", "Exemplar", 228, tmSeq(x, "exemplar", 16)},
-		{"Automatic", "Tera", 978, tmSeq(x, "tera", 1)},
-		{"Manual", "Pentium Pro (4 processors)", 65, tmCoarse(x, "ppro", 4, 4, tmBlocks)},
-		{"Manual", "Exemplar (4 processors)", 59, tmCoarse(x, "exemplar", 4, 4, tmBlocks)},
-		{"Manual", "Exemplar (8 processors)", 37, tmCoarse(x, "exemplar", 8, 8, tmBlocks)},
-		{"Manual", "Exemplar (16 processors)", 37, tmCoarse(x, "exemplar", 16, 16, tmBlocks)},
-		{"Manual", "Tera MTA (1 processor)", 48, tmFine(x, "tera", 1)},
-		{"Manual", "Tera MTA (2 processors)", 34, tmFine(x, "tera", 2)},
+		{"None", "Alpha", PaperTable8["Alpha"], tmSeq(x, "alpha", 1)},
+		{"None", "Pentium Pro", PaperTable8["Pentium Pro"], tmSeq(x, "ppro", 4)},
+		{"None", "Exemplar", PaperTable8["Exemplar"], tmSeq(x, "exemplar", 16)},
+		{"None", "Tera", PaperTable8["Tera"], tmSeq(x, "tera", 1)},
+		{"Automatic", "Exemplar", PaperTable8["Exemplar"], tmSeq(x, "exemplar", 16)},
+		{"Automatic", "Tera", PaperTable8["Tera"], tmSeq(x, "tera", 1)},
+		{"Manual", "Pentium Pro (4 processors)", PaperTable9[4], tmCoarse(x, "ppro", 4, 4, tmBlocks)},
+		{"Manual", "Exemplar (4 processors)", PaperTable10[4], tmCoarse(x, "exemplar", 4, 4, tmBlocks)},
+		{"Manual", "Exemplar (8 processors)", PaperTable10[8], tmCoarse(x, "exemplar", 8, 8, tmBlocks)},
+		{"Manual", "Exemplar (16 processors)", PaperTable10[16], tmCoarse(x, "exemplar", 16, 16, tmBlocks)},
+		{"Manual", "Tera MTA (1 processor)", PaperTable11[1], tmFine(x, "tera", 1)},
+		{"Manual", "Tera MTA (2 processors)", PaperTable11[2], tmFine(x, "tera", 2)},
 	})
 }

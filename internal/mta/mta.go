@@ -116,7 +116,6 @@ type Model struct {
 	nextProc int        // round-robin start for slot search
 
 	effLatency float64
-	instrs     float64 // issued instructions (all procs)
 }
 
 var _ machine.Model = (*Model)(nil)
@@ -159,15 +158,10 @@ func (m *Model) Init(e *machine.Engine) {
 	m.admitQ = sim.NewWaitQ("mta stream slots")
 }
 
-// EffectiveLatency returns the memory latency including any network factor.
-func (m *Model) EffectiveLatency() float64 { return m.effLatency }
-
 // Compute implements machine.Model: ops are packed into LIW instructions and
 // issued through the processor's shared issue logic.
 func (m *Model) Compute(t *machine.Thread, ops int64) {
-	instrs := float64(ops) / m.p.OpsPerInstr
-	m.instrs += instrs
-	m.issue[t.Proc].Serve(t.P, instrs)
+	m.issue[t.Proc].Serve(t.P, float64(ops)/m.p.OpsPerInstr)
 }
 
 // Memory implements machine.Model. The instruction cost of references is
@@ -200,7 +194,6 @@ func (m *Model) Memory(t *machine.Thread, b mem.Burst) {
 // shape of the MTA's 1-cycle synchronization instructions, whose result
 // (like any memory operation) returns after the memory latency.
 func (m *Model) syncOpCost(t *machine.Thread) {
-	m.instrs++
 	m.issue[t.Proc].Serve(t.P, 1)
 	m.memory.Serve(t.P, 1)
 	t.P.Sleep(m.effLatency)
@@ -227,7 +220,6 @@ func (m *Model) SpawnCost(parent *machine.Thread) {
 	if m.anyFreeSlot() {
 		cost = m.p.HWThreadCreate
 	}
-	m.instrs++
 	m.issue[parent.Proc].Serve(parent.P, 1)
 	parent.P.Sleep(cost)
 }
@@ -278,6 +270,3 @@ func (m *Model) Finish(st *machine.Stats) {
 	}
 	st.MemUtil = m.memory.Utilization()
 }
-
-// Instructions returns the total instructions issued so far (diagnostics).
-func (m *Model) Instructions() float64 { return m.instrs }

@@ -94,17 +94,6 @@ func New(k *sim.Kernel, name string, rate, perClientCap float64) *Queue {
 // Name returns the queue's diagnostic name.
 func (q *Queue) Name() string { return q.name }
 
-// Rate returns the total service rate.
-func (q *Queue) Rate() float64 { return q.rate }
-
-// Cap returns the per-client rate cap (0 if uncapped).
-func (q *Queue) Cap() float64 {
-	if q.cap <= 0 {
-		return 0
-	}
-	return q.cap
-}
-
 // currentRate returns the instantaneous per-client service rate.
 func (q *Queue) currentRate() float64 {
 	n := len(q.jobs)

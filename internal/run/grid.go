@@ -7,9 +7,9 @@ import (
 )
 
 // GridPoint couples one coordinate of a workload's declared scenario grid
-// with the normalized Spec that runs it: the scale axis lands on
-// Spec.Scale, param axes land in Spec.Params, and the net axis lands on
-// Spec.NetLatencyMult. Grid Specs always validate, so every record of a
+// with the normalized Spec that runs it. An axis's name says where its value
+// lands: "scale" on Spec.Scale, "net" on Spec.NetLatencyMult, and any other
+// axis in Spec.Params. Grid Specs always validate, so every record of a
 // sweep carries the output checksum the conformance contract is stated
 // over.
 type GridPoint struct {
@@ -47,19 +47,19 @@ func GridSpecs(workload, variant, platform string, procs int, restrict map[strin
 	pts := g.Points()
 	out := make([]GridPoint, 0, len(pts))
 	for _, pt := range pts {
-		b, err := g.Apply(pt)
-		if err != nil {
-			return nil, err
-		}
-		spec := Spec{
-			Workload:       workload,
-			Variant:        variant,
-			Platform:       platform,
-			Procs:          procs,
-			Scale:          b.Scale,
-			Params:         b.Params,
-			Validate:       true,
-			NetLatencyMult: b.NetLatencyMult,
+		spec := Spec{Workload: workload, Variant: variant, Platform: platform, Procs: procs, Validate: true}
+		for _, a := range g.Axes {
+			switch v := pt[a.Name]; a.Name {
+			case "scale":
+				spec.Scale = v
+			case "net":
+				spec.NetLatencyMult = v
+			default:
+				if spec.Params == nil {
+					spec.Params = suite.Params{}
+				}
+				spec.Params[a.Name] = int(v)
+			}
 		}
 		ns, err := spec.Normalized()
 		if err != nil {

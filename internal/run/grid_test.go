@@ -36,7 +36,7 @@ func TestGridSpecsExpandsDeclaredGrid(t *testing.T) {
 		if !gp.Spec.Validate {
 			t.Errorf("point %d (%s): Validate not set", i, gp.Label)
 		}
-		// The axes landed where their kinds say: scale on Spec.Scale, params
+		// The axes landed where their names say: scale on Spec.Scale, params
 		// in Spec.Params, net on Spec.NetLatencyMult.
 		if gp.Spec.Scale != gp.Point["scale"] {
 			t.Errorf("point %s: Scale %g != axis %g", gp.Label, gp.Spec.Scale, gp.Point["scale"])
