@@ -28,7 +28,7 @@ func main() {
 		e.SetTracer(l)
 		res, err := e.Run("main", func(t *machine.Thread) {
 			t.Mark("start")
-			threat.Chunked(t, s, chunks)
+			threat.Chunked(t, s, chunks, threat.DefaultCosts)
 		})
 		if err != nil {
 			log.Fatal(err)

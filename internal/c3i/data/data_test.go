@@ -266,15 +266,15 @@ func TestRouteVariantsMatchGoldenChecksum(t *testing.T) {
 		return out
 	}
 	ref := solve(smp.New(smp.AlphaStation()), func(th *machine.Thread) *route.Output {
-		return route.Sequential(th, s)
+		return route.Sequential(th, s, route.DefaultCosts)
 	})
 	goldens := []Golden{{Scenario: s.Name, Kind: "route-optimization", Checksum: route.Checksum(ref.PathCost)}}
 
 	coarse := solve(smp.New(smp.PentiumProSMP(4)), func(th *machine.Thread) *route.Output {
-		return route.Coarse(th, s, 4, 4)
+		return route.Coarse(th, s, 4, 4, route.DefaultDelta, route.DefaultCosts)
 	})
 	fine := solve(mta.New(mta.Params{Procs: 1}), func(th *machine.Thread) *route.Output {
-		return route.Fine(th, s, 32)
+		return route.Fine(th, s, 32, route.DefaultDelta, route.FineDefaultCosts)
 	})
 	for name, out := range map[string]*route.Output{"coarse": coarse, "fine": fine} {
 		if err := CheckGolden(goldens, s.Name, "route-optimization", route.Checksum(out.PathCost)); err != nil {
@@ -435,15 +435,15 @@ func TestPlotVariantsMatchGoldenChecksum(t *testing.T) {
 		return plottrack.Checksum(costs, len(s.Frames[0]), len(s.Tracks))
 	}
 	ref := solve(smp.New(smp.AlphaStation()), func(th *machine.Thread) *plottrack.Output {
-		return plottrack.Sequential(th, s)
+		return plottrack.Sequential(th, s, plottrack.DefaultParams(), plottrack.DefaultCosts)
 	})
 	goldens := []Golden{{Scenario: s.Name, Kind: "plot-track-assignment", Checksum: sum(ref.FrameCost)}}
 
 	coarse := solve(smp.New(smp.PentiumProSMP(4)), func(th *machine.Thread) *plottrack.Output {
-		return plottrack.Coarse(th, s, 4)
+		return plottrack.Coarse(th, s, 4, plottrack.DefaultParams(), plottrack.DefaultCosts)
 	})
 	fine := solve(mta.New(mta.Params{Procs: 1}), func(th *machine.Thread) *plottrack.Output {
-		return plottrack.Fine(th, s, 32)
+		return plottrack.Fine(th, s, 32, plottrack.DefaultParams(), plottrack.FineDefaultCosts)
 	})
 	for name, out := range map[string]*plottrack.Output{"coarse": coarse, "fine": fine} {
 		if err := CheckGolden(goldens, s.Name, "plot-track-assignment", sum(out.FrameCost)); err != nil {

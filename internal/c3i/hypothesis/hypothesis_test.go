@@ -87,7 +87,7 @@ func TestSequentialMatchesNaiveReduction(t *testing.T) {
 	s := GenScenario("ref", testParams)
 	want := naiveScores(s, DefaultGate)
 	out := runOn(t, smp.New(smp.AlphaStation()), func(th *machine.Thread) *Output {
-		return Sequential(th, s)
+		return Sequential(th, s, DefaultParams(), DefaultCosts)
 	})
 	if len(out.Scores) != len(want) {
 		t.Fatalf("%d scores for %d hypotheses", len(out.Scores), len(want))
@@ -121,7 +121,7 @@ func TestSequentialMatchesNaiveReduction(t *testing.T) {
 func TestVariantsProduceIdenticalScores(t *testing.T) {
 	s := GenScenario("agree", testParams)
 	seq := runOn(t, smp.New(smp.AlphaStation()), func(th *machine.Thread) *Output {
-		return Sequential(th, s)
+		return Sequential(th, s, DefaultParams(), DefaultCosts)
 	})
 	sum := Checksum(seq, len(s.Hyps), len(s.Obs))
 	variants := []struct {
@@ -130,13 +130,13 @@ func TestVariantsProduceIdenticalScores(t *testing.T) {
 		solve func(*machine.Thread) *Output
 	}{
 		{"coarse/ppro", func() *machine.Engine { return smp.New(smp.PentiumProSMP(4)) },
-			func(th *machine.Thread) *Output { return Coarse(th, s, 4) }},
+			func(th *machine.Thread) *Output { return Coarse(th, s, 4, DefaultParams(), DefaultCosts) }},
 		{"coarse/tera", func() *machine.Engine { return mta.New(mta.Params{Procs: 1}) },
-			func(th *machine.Thread) *Output { return Coarse(th, s, 16) }},
+			func(th *machine.Thread) *Output { return Coarse(th, s, 16, DefaultParams(), DefaultCosts) }},
 		{"fine/tera", func() *machine.Engine { return mta.New(mta.Params{Procs: 1}) },
-			func(th *machine.Thread) *Output { return Fine(th, s, 32) }},
+			func(th *machine.Thread) *Output { return Fine(th, s, 32, DefaultParams(), FineDefaultCosts) }},
 		{"fine/tera2", func() *machine.Engine { return mta.New(mta.Params{Procs: 2}) },
-			func(th *machine.Thread) *Output { return Fine(th, s, 64) }},
+			func(th *machine.Thread) *Output { return Fine(th, s, 64, DefaultParams(), FineDefaultCosts) }},
 	}
 	for _, v := range variants {
 		out := runOn(t, v.build(), v.solve)
@@ -169,13 +169,13 @@ func TestPaperScaleAgreement(t *testing.T) {
 			len(s.Obs), len(s.Hyps), DefaultObs, DefaultHyps)
 	}
 	seq := runOn(t, smp.New(smp.AlphaStation()), func(th *machine.Thread) *Output {
-		return Sequential(th, s)
+		return Sequential(th, s, DefaultParams(), DefaultCosts)
 	})
 	coarse := runOn(t, smp.New(smp.Exemplar(16)), func(th *machine.Thread) *Output {
-		return Coarse(th, s, 16)
+		return Coarse(th, s, 16, DefaultParams(), DefaultCosts)
 	})
 	fine := runOn(t, mta.New(mta.Params{Procs: 1}), func(th *machine.Thread) *Output {
-		return Fine(th, s, 256)
+		return Fine(th, s, 256, DefaultParams(), FineDefaultCosts)
 	})
 	sum := Checksum(seq, len(s.Hyps), len(s.Obs))
 	for name, out := range map[string]*Output{"coarse": coarse, "fine": fine} {
@@ -189,7 +189,7 @@ func TestGateAndPruneChangeResults(t *testing.T) {
 	s := GenScenario("tune", testParams)
 	run := func(p Params) *Output {
 		return runOn(t, smp.New(smp.AlphaStation()), func(th *machine.Thread) *Output {
-			return SequentialWithCosts(th, s, p, DefaultCosts)
+			return Sequential(th, s, p, DefaultCosts)
 		})
 	}
 	base := run(DefaultParams())
@@ -220,10 +220,10 @@ func TestGateAndPruneChangeResults(t *testing.T) {
 func TestCoarsePartialMemoryGrowsWithWorkers(t *testing.T) {
 	s := GenScenario("mem", testParams)
 	few := runOn(t, mta.New(mta.Params{Procs: 1}), func(th *machine.Thread) *Output {
-		return Coarse(th, s, 2)
+		return Coarse(th, s, 2, DefaultParams(), DefaultCosts)
 	})
 	many := runOn(t, mta.New(mta.Params{Procs: 1}), func(th *machine.Thread) *Output {
-		return Coarse(th, s, 16)
+		return Coarse(th, s, 16, DefaultParams(), DefaultCosts)
 	})
 	if many.PartialBytes <= few.PartialBytes {
 		t.Errorf("partial-score bytes did not grow with workers: %d vs %d",
@@ -233,7 +233,7 @@ func TestCoarsePartialMemoryGrowsWithWorkers(t *testing.T) {
 		t.Errorf("16 workers allocated %d partial bytes, want %d", many.PartialBytes, want)
 	}
 	fine := runOn(t, mta.New(mta.Params{Procs: 1}), func(th *machine.Thread) *Output {
-		return Fine(th, s, 32)
+		return Fine(th, s, 32, DefaultParams(), FineDefaultCosts)
 	})
 	if fine.PartialBytes != 0 {
 		t.Errorf("fine-grained variant allocated %d private bytes, want none", fine.PartialBytes)
@@ -246,10 +246,10 @@ func TestCoarsePartialMemoryGrowsWithWorkers(t *testing.T) {
 func TestCoarseRunsDeterministically(t *testing.T) {
 	s := GenScenario("det", testParams)
 	a := runOn(t, mta.New(mta.Params{Procs: 2}), func(th *machine.Thread) *Output {
-		return Coarse(th, s, 16)
+		return Coarse(th, s, 16, DefaultParams(), DefaultCosts)
 	})
 	b := runOn(t, mta.New(mta.Params{Procs: 2}), func(th *machine.Thread) *Output {
-		return Coarse(th, s, 16)
+		return Coarse(th, s, 16, DefaultParams(), DefaultCosts)
 	})
 	if a.Gated != b.Gated || a.Best != b.Best || len(a.Survivors) != len(b.Survivors) {
 		t.Errorf("results differ between identical runs: %+v vs %+v", a, b)
@@ -275,7 +275,7 @@ func TestInvalidParamsPanic(t *testing.T) {
 			}()
 			e := smp.New(smp.AlphaStation())
 			e.Run("bad", func(th *machine.Thread) {
-				SequentialWithCosts(th, s, tc.p, DefaultCosts)
+				Sequential(th, s, tc.p, DefaultCosts)
 			})
 		}()
 	}
@@ -287,7 +287,7 @@ func TestInvalidParamsPanic(t *testing.T) {
 		}()
 		e := smp.New(smp.AlphaStation())
 		e.Run("bad", func(th *machine.Thread) {
-			CoarseWithCosts(th, s, 0, DefaultParams(), DefaultCosts)
+			Coarse(th, s, 0, DefaultParams(), DefaultCosts)
 		})
 	}()
 	func() {
@@ -298,7 +298,7 @@ func TestInvalidParamsPanic(t *testing.T) {
 		}()
 		e := smp.New(smp.AlphaStation())
 		e.Run("bad", func(th *machine.Thread) {
-			FineWithCosts(th, s, 0, DefaultParams(), FineDefaultCosts)
+			Fine(th, s, 0, DefaultParams(), FineDefaultCosts)
 		})
 	}()
 }

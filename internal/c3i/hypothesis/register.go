@@ -60,7 +60,7 @@ func init() {
 				Defaults: scoreDefaults,
 				Run: func(t *machine.Thread, sc suite.Scenario, p suite.Params) suite.Output {
 					s := sc.(*Scenario)
-					return output(SequentialWithCosts(t, s, paramsFrom(p), DefaultCosts), s)
+					return output(Sequential(t, s, paramsFrom(p), DefaultCosts), s)
 				},
 			},
 			{
@@ -70,7 +70,7 @@ func init() {
 				Defaults: scoreDefaults.Merged(suite.Params{"workers": 8}),
 				Run: func(t *machine.Thread, sc suite.Scenario, p suite.Params) suite.Output {
 					s := sc.(*Scenario)
-					return output(CoarseWithCosts(t, s, p["workers"], paramsFrom(p), DefaultCosts), s)
+					return output(Coarse(t, s, p["workers"], paramsFrom(p), DefaultCosts), s)
 				},
 				OverheadFullScale: CoarsePartialBytesFullScale,
 			},
@@ -81,7 +81,7 @@ func init() {
 				Defaults: scoreDefaults.Merged(suite.Params{"threads": 64}),
 				Run: func(t *machine.Thread, sc suite.Scenario, p suite.Params) suite.Output {
 					s := sc.(*Scenario)
-					return output(FineWithCosts(t, s, p["threads"], paramsFrom(p), FineDefaultCosts), s)
+					return output(Fine(t, s, p["threads"], paramsFrom(p), FineDefaultCosts), s)
 				},
 			},
 		},

@@ -198,13 +198,7 @@ func (lay *Layout) finish(t *machine.Thread, scores []int64, prune int, out *Out
 
 // Sequential is the reference program: one scoring loop over the
 // observation stream, entirely on the calling thread.
-func Sequential(t *machine.Thread, s *Scenario) *Output {
-	return SequentialWithCosts(t, s, DefaultParams(), DefaultCosts)
-}
-
-// SequentialWithCosts is Sequential with explicit scoring controls and cost
-// calibration.
-func SequentialWithCosts(t *machine.Thread, s *Scenario, p Params, c Costs) *Output {
+func Sequential(t *machine.Thread, s *Scenario, p Params, c Costs) *Output {
 	p.validate()
 	lay := NewLayout(t, s, c)
 	out := &Output{}
@@ -242,12 +236,7 @@ func SequentialWithCosts(t *machine.Thread, s *Scenario, p Params, c Costs) *Out
 // barrier and runs a per-hypothesis merge reduction, each worker summing a
 // disjoint hypothesis range across all the partial buffers. Deterministic
 // by construction.
-func Coarse(t *machine.Thread, s *Scenario, workers int) *Output {
-	return CoarseWithCosts(t, s, workers, DefaultParams(), DefaultCosts)
-}
-
-// CoarseWithCosts is Coarse with explicit scoring controls and calibration.
-func CoarseWithCosts(t *machine.Thread, s *Scenario, workers int, p Params, c Costs) *Output {
+func Coarse(t *machine.Thread, s *Scenario, workers int, p Params, c Costs) *Output {
 	p.validate()
 	if workers < 1 {
 		panic("hypothesis: Coarse needs ≥ 1 worker")
@@ -328,12 +317,7 @@ func (lay *Layout) scoreSpan(wt *machine.Thread, span []Observation, gate int, d
 // word (striped over the score array). No private buffers, nondeterministic
 // commit order — evidence addition commutes, so the score vector is
 // identical anyway.
-func Fine(t *machine.Thread, s *Scenario, threadsN int) *Output {
-	return FineWithCosts(t, s, threadsN, DefaultParams(), FineDefaultCosts)
-}
-
-// FineWithCosts is Fine with explicit scoring controls and calibration.
-func FineWithCosts(t *machine.Thread, s *Scenario, threadsN int, p Params, c Costs) *Output {
+func Fine(t *machine.Thread, s *Scenario, threadsN int, p Params, c Costs) *Output {
 	p.validate()
 	if threadsN < 1 {
 		panic("hypothesis: Fine needs ≥ 1 thread")

@@ -108,7 +108,7 @@ func TestSequentialMatchesBruteForce(t *testing.T) {
 	p := GenParams{Field: 128, NumTracks: 7, NumPlots: 8, Frames: 2, Seed: 11}
 	s := GenScenario("bf", p)
 	out := runOn(t, smp.New(smp.AlphaStation()), func(th *machine.Thread) *Output {
-		return Sequential(th, s)
+		return Sequential(th, s, DefaultParams(), DefaultCosts)
 	})
 	if len(out.FrameCost) != len(s.Frames) {
 		t.Fatalf("%d frame costs for %d frames", len(out.FrameCost), len(s.Frames))
@@ -130,7 +130,7 @@ func TestSequentialMatchesBruteForce(t *testing.T) {
 func TestVariantsProduceIdenticalCosts(t *testing.T) {
 	s := GenScenario("agree", testParams)
 	seq := runOn(t, smp.New(smp.AlphaStation()), func(th *machine.Thread) *Output {
-		return Sequential(th, s)
+		return Sequential(th, s, DefaultParams(), DefaultCosts)
 	})
 	if totalCost(seq) <= 0 {
 		t.Fatalf("sequential cost %d out of range", totalCost(seq))
@@ -141,13 +141,13 @@ func TestVariantsProduceIdenticalCosts(t *testing.T) {
 		solve func(*machine.Thread) *Output
 	}{
 		{"coarse/ppro", func() *machine.Engine { return smp.New(smp.PentiumProSMP(4)) },
-			func(th *machine.Thread) *Output { return Coarse(th, s, 4) }},
+			func(th *machine.Thread) *Output { return Coarse(th, s, 4, DefaultParams(), DefaultCosts) }},
 		{"coarse/tera", func() *machine.Engine { return mta.New(mta.Params{Procs: 1}) },
-			func(th *machine.Thread) *Output { return Coarse(th, s, 16) }},
+			func(th *machine.Thread) *Output { return Coarse(th, s, 16, DefaultParams(), DefaultCosts) }},
 		{"fine/tera", func() *machine.Engine { return mta.New(mta.Params{Procs: 1}) },
-			func(th *machine.Thread) *Output { return Fine(th, s, 32) }},
+			func(th *machine.Thread) *Output { return Fine(th, s, 32, DefaultParams(), FineDefaultCosts) }},
 		{"fine/tera2", func() *machine.Engine { return mta.New(mta.Params{Procs: 2}) },
-			func(th *machine.Thread) *Output { return Fine(th, s, 64) }},
+			func(th *machine.Thread) *Output { return Fine(th, s, 64, DefaultParams(), FineDefaultCosts) }},
 	}
 	for _, v := range variants {
 		out := runOn(t, v.build(), v.solve)
@@ -182,13 +182,13 @@ func TestPaperScaleAgreement(t *testing.T) {
 			len(s.Frames), len(s.Frames[0]), DefaultFrames, DefaultPlots)
 	}
 	seq := runOn(t, smp.New(smp.AlphaStation()), func(th *machine.Thread) *Output {
-		return Sequential(th, s)
+		return Sequential(th, s, DefaultParams(), DefaultCosts)
 	})
 	coarse := runOn(t, smp.New(smp.Exemplar(16)), func(th *machine.Thread) *Output {
-		return Coarse(th, s, 16)
+		return Coarse(th, s, 16, DefaultParams(), DefaultCosts)
 	})
 	fine := runOn(t, mta.New(mta.Params{Procs: 1}), func(th *machine.Thread) *Output {
-		return Fine(th, s, 256)
+		return Fine(th, s, 256, DefaultParams(), FineDefaultCosts)
 	})
 	sum := Checksum(seq.FrameCost, len(s.Frames[0]), len(s.Tracks))
 	for name, out := range map[string]*Output{"coarse": coarse, "fine": fine} {
@@ -202,10 +202,10 @@ func TestPaperScaleAgreement(t *testing.T) {
 func TestCoarseRunsDeterministically(t *testing.T) {
 	s := GenScenario("det", testParams)
 	a := runOn(t, mta.New(mta.Params{Procs: 2}), func(th *machine.Thread) *Output {
-		return Coarse(th, s, 16)
+		return Coarse(th, s, 16, DefaultParams(), DefaultCosts)
 	})
 	b := runOn(t, mta.New(mta.Params{Procs: 2}), func(th *machine.Thread) *Output {
-		return Coarse(th, s, 16)
+		return Coarse(th, s, 16, DefaultParams(), DefaultCosts)
 	})
 	if a.Bids != b.Bids {
 		t.Errorf("bid counts differ between identical runs: %d vs %d", a.Bids, b.Bids)
@@ -218,17 +218,17 @@ func TestCoarseRunsDeterministically(t *testing.T) {
 func TestCoarseBidMemoryGrowsWithWorkers(t *testing.T) {
 	s := GenScenario("mem", testParams)
 	few := runOn(t, mta.New(mta.Params{Procs: 1}), func(th *machine.Thread) *Output {
-		return Coarse(th, s, 2)
+		return Coarse(th, s, 2, DefaultParams(), DefaultCosts)
 	})
 	many := runOn(t, mta.New(mta.Params{Procs: 1}), func(th *machine.Thread) *Output {
-		return Coarse(th, s, 16)
+		return Coarse(th, s, 16, DefaultParams(), DefaultCosts)
 	})
 	if many.BidBufferBytes <= few.BidBufferBytes {
 		t.Errorf("bid buffer bytes did not grow with workers: %d vs %d",
 			many.BidBufferBytes, few.BidBufferBytes)
 	}
 	fine := runOn(t, mta.New(mta.Params{Procs: 1}), func(th *machine.Thread) *Output {
-		return Fine(th, s, 32)
+		return Fine(th, s, 32, DefaultParams(), FineDefaultCosts)
 	})
 	if fine.BidBufferBytes != 0 {
 		t.Errorf("fine-grained variant allocated %d private bid bytes, want none", fine.BidBufferBytes)
@@ -257,7 +257,7 @@ func TestInvalidParamsPanic(t *testing.T) {
 			}()
 			e := smp.New(smp.AlphaStation())
 			e.Run("bad", func(th *machine.Thread) {
-				SequentialWithCosts(th, s, tc.p, DefaultCosts)
+				Sequential(th, s, tc.p, DefaultCosts)
 			})
 		}()
 	}
@@ -269,7 +269,7 @@ func TestInvalidParamsPanic(t *testing.T) {
 		}()
 		e := smp.New(smp.AlphaStation())
 		e.Run("bad", func(th *machine.Thread) {
-			CoarseWithCosts(th, s, 0, DefaultParams(), DefaultCosts)
+			Coarse(th, s, 0, DefaultParams(), DefaultCosts)
 		})
 	}()
 	func() {
@@ -280,7 +280,7 @@ func TestInvalidParamsPanic(t *testing.T) {
 		}()
 		e := smp.New(smp.AlphaStation())
 		e.Run("bad", func(th *machine.Thread) {
-			FineWithCosts(th, s, 0, DefaultParams(), FineDefaultCosts)
+			Fine(th, s, 0, DefaultParams(), FineDefaultCosts)
 		})
 	}()
 }
@@ -319,7 +319,7 @@ func TestSuiteShapes(t *testing.T) {
 func TestRoundsGuard(t *testing.T) {
 	s := GenScenario("guard", testParams)
 	out := runOn(t, smp.New(smp.AlphaStation()), func(th *machine.Thread) *Output {
-		return SequentialWithCosts(th, s, Params{Gate: DefaultGate, Epsilon: 1, Rounds: 100}, DefaultCosts)
+		return Sequential(th, s, Params{Gate: DefaultGate, Epsilon: 1, Rounds: 100}, DefaultCosts)
 	})
 	if totalCost(out) <= 0 {
 		t.Fatalf("guarded run produced cost %d", totalCost(out))
@@ -331,6 +331,6 @@ func TestRoundsGuard(t *testing.T) {
 	}()
 	e := mta.New(mta.Params{Procs: 1})
 	e.Run("guard", func(th *machine.Thread) {
-		CoarseWithCosts(th, s, 8, Params{Gate: DefaultGate, Epsilon: 1, Rounds: 1}, DefaultCosts)
+		Coarse(th, s, 8, Params{Gate: DefaultGate, Epsilon: 1, Rounds: 1}, DefaultCosts)
 	})
 }

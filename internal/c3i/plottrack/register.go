@@ -131,7 +131,7 @@ func init() {
 						c = PipelinedCosts()
 					}
 					s := sc.(*Scenario)
-					return output(SequentialWithCosts(t, s, paramsFrom(p), c), s)
+					return output(Sequential(t, s, paramsFrom(p), c), s)
 				},
 			},
 			{
@@ -141,7 +141,7 @@ func init() {
 				Defaults: auctionDefaults.Merged(suite.Params{"workers": 4}),
 				Run: func(t *machine.Thread, sc suite.Scenario, p suite.Params) suite.Output {
 					s := sc.(*Scenario)
-					return output(CoarseWithCosts(t, s, p["workers"], paramsFrom(p), DefaultCosts), s)
+					return output(Coarse(t, s, p["workers"], paramsFrom(p), DefaultCosts), s)
 				},
 				OverheadFullScale: CoarseBidBytesFullScale,
 			},
@@ -152,7 +152,7 @@ func init() {
 				Defaults: auctionDefaults.Merged(suite.Params{"threads": 64}),
 				Run: func(t *machine.Thread, sc suite.Scenario, p suite.Params) suite.Output {
 					s := sc.(*Scenario)
-					return output(FineWithCosts(t, s, p["threads"], paramsFrom(p), FineDefaultCosts), s)
+					return output(Fine(t, s, p["threads"], paramsFrom(p), FineDefaultCosts), s)
 				},
 			},
 		},

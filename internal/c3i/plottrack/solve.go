@@ -346,13 +346,7 @@ func (a *auction) finish(out *Output) {
 // Sequential is the reference program: the Gauss-Seidel auction — greedy
 // assignment with repair, one bidding plot at a time, frame after frame,
 // entirely on the calling thread.
-func Sequential(t *machine.Thread, s *Scenario) *Output {
-	return SequentialWithCosts(t, s, DefaultParams(), DefaultCosts)
-}
-
-// SequentialWithCosts is Sequential with explicit auction controls and cost
-// calibration.
-func SequentialWithCosts(t *machine.Thread, s *Scenario, p Params, c Costs) *Output {
+func Sequential(t *machine.Thread, s *Scenario, p Params, c Costs) *Output {
 	p.validate()
 	lay := NewLayout(t, s, c)
 	out := &Output{}
@@ -413,6 +407,13 @@ func SequentialWithCosts(t *machine.Thread, s *Scenario, p Params, c Costs) *Out
 	return out
 }
 
+// stagedBid is one private-buffer entry: plot i bids bid on candidate k.
+type stagedBid struct {
+	i   int32
+	k   int32
+	bid int64
+}
+
 // Coarse is the manual parallelization in the style of Programs 2 and 4: the
 // Jacobi auction. A persistent crew of worker threads — created once per
 // run, like the paper's coarse-grained programs — partitions the unassigned
@@ -422,19 +423,7 @@ func SequentialWithCosts(t *machine.Thread, s *Scenario, p Params, c Costs) *Out
 // merge locks. Barriers separate the rounds, so the crew bids against
 // stable prices; ties resolve to the lower plot id, which makes the run
 // deterministic.
-func Coarse(t *machine.Thread, s *Scenario, workers int) *Output {
-	return CoarseWithCosts(t, s, workers, DefaultParams(), DefaultCosts)
-}
-
-// stagedBid is one private-buffer entry: plot i bids bid on candidate k.
-type stagedBid struct {
-	i   int32
-	k   int32
-	bid int64
-}
-
-// CoarseWithCosts is Coarse with explicit auction controls and calibration.
-func CoarseWithCosts(t *machine.Thread, s *Scenario, workers int, p Params, c Costs) *Output {
+func Coarse(t *machine.Thread, s *Scenario, workers int, p Params, c Costs) *Output {
 	p.validate()
 	if workers < 1 {
 		panic("plottrack: Coarse needs ≥ 1 worker")
@@ -563,12 +552,7 @@ func (lay *Layout) coarseChunk(wt *machine.Thread, a *auction, eps int64, chunk 
 // through another fetch-and-add on the work-list tail. No private buffers,
 // nondeterministic bid order — the prices only rise, so the auction still
 // converges to the same exact optimum.
-func Fine(t *machine.Thread, s *Scenario, threadsN int) *Output {
-	return FineWithCosts(t, s, threadsN, DefaultParams(), FineDefaultCosts)
-}
-
-// FineWithCosts is Fine with explicit auction controls and calibration.
-func FineWithCosts(t *machine.Thread, s *Scenario, threadsN int, p Params, c Costs) *Output {
+func Fine(t *machine.Thread, s *Scenario, threadsN int, p Params, c Costs) *Output {
 	p.validate()
 	if threadsN < 1 {
 		panic("plottrack: Fine needs ≥ 1 thread")

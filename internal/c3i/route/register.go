@@ -83,7 +83,7 @@ func init() {
 				// Textbook Dijkstra with a binary heap — the reference.
 				Name: "sequential", Style: suite.Sequential,
 				Run: func(t *machine.Thread, sc suite.Scenario, p suite.Params) suite.Output {
-					return output(Sequential(t, sc.(*Scenario)))
+					return output(Sequential(t, sc.(*Scenario), DefaultCosts))
 				},
 			},
 			{
@@ -92,7 +92,7 @@ func init() {
 				Name: "coarse", Style: suite.Coarse,
 				Defaults: suite.Params{"workers": 4, "blocks": 4, "delta": DefaultDelta},
 				Run: func(t *machine.Thread, sc suite.Scenario, p suite.Params) suite.Output {
-					return output(CoarseWithCosts(t, sc.(*Scenario),
+					return output(Coarse(t, sc.(*Scenario),
 						p["workers"], p["blocks"], p["delta"], DefaultCosts))
 				},
 				OverheadFullScale: CoarseFrontierBytesFullScale,
@@ -104,7 +104,7 @@ func init() {
 				Name: "fine", Style: suite.Fine,
 				Defaults: suite.Params{"threads": 64, "delta": DefaultDelta},
 				Run: func(t *machine.Thread, sc suite.Scenario, p suite.Params) suite.Output {
-					return output(FineWithCosts(t, sc.(*Scenario),
+					return output(Fine(t, sc.(*Scenario),
 						p["threads"], p["delta"], FineDefaultCosts))
 				},
 			},

@@ -84,7 +84,7 @@ func TestSequentialMatchesBellmanFord(t *testing.T) {
 	p := GenParams{Side: 40, NumThreats: 4, Radius: 8, NumQueries: 3, Seed: 11}
 	s := GenScenario("bf", p)
 	out := runOn(t, smp.New(smp.AlphaStation()), func(th *machine.Thread) *Output {
-		return Sequential(th, s)
+		return Sequential(th, s, DefaultCosts)
 	})
 	for i, q := range s.Queries {
 		want := bellmanFord(s, q)
@@ -97,7 +97,7 @@ func TestSequentialMatchesBellmanFord(t *testing.T) {
 func TestVariantsProduceIdenticalPathCosts(t *testing.T) {
 	s := GenScenario("agree", testParams)
 	seq := runOn(t, smp.New(smp.AlphaStation()), func(th *machine.Thread) *Output {
-		return Sequential(th, s)
+		return Sequential(th, s, DefaultCosts)
 	})
 	if len(seq.PathCost) != len(s.Queries) {
 		t.Fatalf("%d costs for %d queries", len(seq.PathCost), len(s.Queries))
@@ -113,13 +113,13 @@ func TestVariantsProduceIdenticalPathCosts(t *testing.T) {
 		solve func(*machine.Thread) *Output
 	}{
 		{"coarse/ppro", func() *machine.Engine { return smp.New(smp.PentiumProSMP(4)) },
-			func(th *machine.Thread) *Output { return Coarse(th, s, 4, 4) }},
+			func(th *machine.Thread) *Output { return Coarse(th, s, 4, 4, DefaultDelta, DefaultCosts) }},
 		{"coarse/tera", func() *machine.Engine { return mta.New(mta.Params{Procs: 1}) },
-			func(th *machine.Thread) *Output { return Coarse(th, s, 16, 4) }},
+			func(th *machine.Thread) *Output { return Coarse(th, s, 16, 4, DefaultDelta, DefaultCosts) }},
 		{"fine/tera", func() *machine.Engine { return mta.New(mta.Params{Procs: 1}) },
-			func(th *machine.Thread) *Output { return Fine(th, s, 32) }},
+			func(th *machine.Thread) *Output { return Fine(th, s, 32, DefaultDelta, FineDefaultCosts) }},
 		{"fine/tera2", func() *machine.Engine { return mta.New(mta.Params{Procs: 2}) },
-			func(th *machine.Thread) *Output { return Fine(th, s, 64) }},
+			func(th *machine.Thread) *Output { return Fine(th, s, 64, DefaultDelta, FineDefaultCosts) }},
 	}
 	for _, v := range variants {
 		out := runOn(t, v.build(), v.solve)
@@ -142,10 +142,10 @@ func TestVariantsProduceIdenticalPathCosts(t *testing.T) {
 func TestCoarseRunsDeterministically(t *testing.T) {
 	s := GenScenario("det", testParams)
 	a := runOn(t, mta.New(mta.Params{Procs: 2}), func(th *machine.Thread) *Output {
-		return Coarse(th, s, 16, 4)
+		return Coarse(th, s, 16, 4, DefaultDelta, DefaultCosts)
 	})
 	b := runOn(t, mta.New(mta.Params{Procs: 2}), func(th *machine.Thread) *Output {
-		return Coarse(th, s, 16, 4)
+		return Coarse(th, s, 16, 4, DefaultDelta, DefaultCosts)
 	})
 	if a.Relaxed != b.Relaxed {
 		t.Errorf("relax counts differ between identical runs: %d vs %d", a.Relaxed, b.Relaxed)
@@ -160,16 +160,16 @@ func TestCoarseRunsDeterministically(t *testing.T) {
 func TestCoarseFrontierMemoryGrowsWithWorkers(t *testing.T) {
 	s := GenScenario("mem", testParams)
 	few := runOn(t, mta.New(mta.Params{Procs: 1}), func(th *machine.Thread) *Output {
-		return Coarse(th, s, 2, 4)
+		return Coarse(th, s, 2, 4, DefaultDelta, DefaultCosts)
 	})
 	many := runOn(t, mta.New(mta.Params{Procs: 1}), func(th *machine.Thread) *Output {
-		return Coarse(th, s, 16, 4)
+		return Coarse(th, s, 16, 4, DefaultDelta, DefaultCosts)
 	})
 	if many.FrontierBytes <= few.FrontierBytes {
 		t.Errorf("frontier bytes did not grow with workers: %d vs %d", many.FrontierBytes, few.FrontierBytes)
 	}
 	fine := runOn(t, mta.New(mta.Params{Procs: 1}), func(th *machine.Thread) *Output {
-		return Fine(th, s, 32)
+		return Fine(th, s, 32, DefaultDelta, FineDefaultCosts)
 	})
 	if fine.FrontierBytes >= few.FrontierBytes {
 		t.Errorf("fine-grained frontier bytes %d not below coarse %d", fine.FrontierBytes, few.FrontierBytes)

@@ -204,12 +204,7 @@ func (h *heap64) pop() uint64 {
 
 // Sequential is the reference program: Dijkstra's algorithm with a binary
 // heap, one request after another, entirely on the calling thread.
-func Sequential(t *machine.Thread, s *Scenario) *Output {
-	return SequentialWithCosts(t, s, DefaultCosts)
-}
-
-// SequentialWithCosts is Sequential with an explicit cost calibration.
-func SequentialWithCosts(t *machine.Thread, s *Scenario, c Costs) *Output {
+func Sequential(t *machine.Thread, s *Scenario, c Costs) *Output {
 	lay := NewLayout(t, s, c)
 	out := &Output{FrontierBytes: lay.Frontier.Size}
 	dist := make([]int32, s.Cells())
@@ -349,12 +344,7 @@ func (lay *Layout) relaxInto(qs *queryState, b, delta int, nodes []int32, cands 
 // every worker must be sized for the worst-case wavefront), then merges them
 // into the shared distance array and bucket lists under per-block locks over
 // the grid (blocks×blocks, as in Terrain Masking's ten-by-ten blocking).
-func Coarse(t *machine.Thread, s *Scenario, workers, blocks int) *Output {
-	return CoarseWithCosts(t, s, workers, blocks, DefaultDelta, DefaultCosts)
-}
-
-// CoarseWithCosts is Coarse with explicit ∆ and cost calibration.
-func CoarseWithCosts(t *machine.Thread, s *Scenario, workers, blocks, delta int, c Costs) *Output {
+func Coarse(t *machine.Thread, s *Scenario, workers, blocks, delta int, c Costs) *Output {
 	if workers < 1 || blocks < 1 || delta < 1 {
 		panic("route: Coarse needs ≥1 worker, block and delta")
 	}
@@ -469,12 +459,7 @@ func (lay *Layout) coarseChunk(ct *machine.Thread, qs *queryState, b, delta int,
 // (no memory overhead), nondeterministic work order (the costs still converge
 // to the unique shortest distances) — viable only where thread creation and
 // per-word synchronization are nearly free.
-func Fine(t *machine.Thread, s *Scenario, threadsN int) *Output {
-	return FineWithCosts(t, s, threadsN, DefaultDelta, FineDefaultCosts)
-}
-
-// FineWithCosts is Fine with explicit ∆ and cost calibration.
-func FineWithCosts(t *machine.Thread, s *Scenario, threadsN, delta int, c Costs) *Output {
+func Fine(t *machine.Thread, s *Scenario, threadsN, delta int, c Costs) *Output {
 	if threadsN < 1 || delta < 1 {
 		panic("route: Fine needs ≥1 thread and delta")
 	}

@@ -98,23 +98,22 @@ func TestShippedWorkloadsConform(t *testing.T) {
 	}
 }
 
-// solveRef runs one variant over a scenario on the Alpha model in validate
-// mode and returns the checksummed output.
-func solveRef(t *testing.T, v *suite.Variant, sc suite.Scenario) suite.Output {
+// solveOn runs one variant over a scenario on a platform at its full
+// processor count and returns the output.
+func solveOn(t *testing.T, plat platforms.Spec, v *suite.Variant, sc suite.Scenario, p suite.Params) suite.Output {
 	t.Helper()
-	alpha, err := platforms.Get("alpha")
-	if err != nil {
-		t.Fatal(err)
-	}
 	var out suite.Output
-	if _, err := alpha.New(1).Run("conformance", func(th *machine.Thread) {
-		out = v.Exec(th, sc, suite.Params{suite.ValidateParam: 1})
+	if _, err := plat.New(plat.MaxProcs).Run("conformance", func(th *machine.Thread) {
+		out = v.Exec(th, sc, p)
 	}); err != nil {
 		t.Fatal(err)
 	}
 	return out
 }
 
+// TestVariantChecksumsAgree runs every variant on every platform, each at its
+// MaxProcs, and holds all of a workload's validated checksums to the first
+// one: a variant's output must not depend on the machine that runs it.
 func TestVariantChecksumsAgree(t *testing.T) {
 	for _, name := range shipped {
 		name := name
@@ -130,19 +129,19 @@ func TestVariantChecksumsAgree(t *testing.T) {
 			sc := scs[0]
 			sc.Warm()
 			var golden uint64
-			for i, v := range w.Variants {
-				out := solveRef(t, v, sc)
-				if out.Checksum == 0 {
-					t.Errorf("%s/%s: validate run produced no checksum", name, v.Name)
-					continue
-				}
-				if i == 0 {
-					golden = out.Checksum
-					continue
-				}
-				if out.Checksum != golden {
-					t.Errorf("%s/%s: checksum %016x != %s's %016x",
-						name, v.Name, out.Checksum, w.Variants[0].Name, golden)
+			var goldenOf string
+			for _, plat := range platforms.All() {
+				for _, v := range w.Variants {
+					at := fmt.Sprintf("%s/%s on %s p%d", name, v.Name, plat.Key, plat.MaxProcs)
+					out := solveOn(t, plat, v, sc, suite.Params{suite.ValidateParam: 1})
+					switch {
+					case out.Checksum == 0:
+						t.Errorf("%s: validate run produced no checksum", at)
+					case golden == 0:
+						golden, goldenOf = out.Checksum, at
+					case out.Checksum != golden:
+						t.Errorf("%s: checksum %016x != %s's %016x", at, out.Checksum, goldenOf, golden)
+					}
 				}
 			}
 		})
@@ -206,28 +205,16 @@ func solveAt(t *testing.T, w *suite.Workload, v *suite.Variant, pt suite.Point) 
 	}
 	sc := scs[0]
 	sc.Warm()
-	out := solveRef2(t, v, sc, suite.Params{suite.ValidateParam: 1}.Merged(params))
+	alpha, err := platforms.Get("alpha")
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := solveOn(t, alpha, v, sc, suite.Params{suite.ValidateParam: 1}.Merged(params))
 	if out.Checksum == 0 {
 		t.Fatalf("%s/%s at scale %g params %s: validate run produced no checksum",
 			w.Name, v.Name, scale, params.String())
 	}
 	return out.Checksum
-}
-
-// solveRef2 is solveRef with explicit params.
-func solveRef2(t *testing.T, v *suite.Variant, sc suite.Scenario, p suite.Params) suite.Output {
-	t.Helper()
-	alpha, err := platforms.Get("alpha")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var out suite.Output
-	if _, err := alpha.New(1).Run("conformance", func(th *machine.Thread) {
-		out = v.Exec(th, sc, p)
-	}); err != nil {
-		t.Fatal(err)
-	}
-	return out
 }
 
 // semanticKey collapses grid points that cannot change a workload's

@@ -120,7 +120,7 @@ func init() {
 					if p["pipelined"] != 0 {
 						o.Costs = PipelinedCosts()
 					}
-					return output(SequentialOpt(t, sc.(*Scenario), o))
+					return output(Sequential(t, sc.(*Scenario), o))
 				},
 			},
 			{
@@ -129,7 +129,7 @@ func init() {
 				Name: "coarse", Style: suite.Coarse,
 				Defaults: suite.Params{suite.ValidateParam: 0, "workers": 4, "blocks": 10},
 				Run: func(t *machine.Thread, sc suite.Scenario, p suite.Params) suite.Output {
-					return output(CoarseOpt(t, sc.(*Scenario), p["workers"], p["blocks"], optFrom(p)))
+					return output(Coarse(t, sc.(*Scenario), p["workers"], p["blocks"], optFrom(p)))
 				},
 				OverheadFullScale: CoarseTempBytesFullScale,
 			},
@@ -139,7 +139,7 @@ func init() {
 				Name: "fine", Style: suite.Fine,
 				Defaults: suite.Params{suite.ValidateParam: 0, "sectors": 96, "merge": 64},
 				Run: func(t *machine.Thread, sc suite.Scenario, p suite.Params) suite.Output {
-					return output(FineOpt(t, sc.(*Scenario), p["sectors"], p["merge"], optFrom(p)))
+					return output(Fine(t, sc.(*Scenario), p["sectors"], p["merge"], optFrom(p)))
 				},
 			},
 			{
@@ -149,7 +149,7 @@ func init() {
 				Name: "hybrid", Style: suite.Fine,
 				Defaults: suite.Params{suite.ValidateParam: 0, "workers": 2, "sectors": 96, "merge": 64, "blocks": 10},
 				Run: func(t *machine.Thread, sc suite.Scenario, p suite.Params) suite.Output {
-					return output(HybridOpt(t, sc.(*Scenario),
+					return output(Hybrid(t, sc.(*Scenario),
 						p["workers"], p["sectors"], p["merge"], p["blocks"], optFrom(p)))
 				},
 				OverheadFullScale: CoarseTempBytesFullScale,

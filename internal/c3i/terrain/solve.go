@@ -222,12 +222,7 @@ type Output struct {
 // to temp, reset it, compute the threat's masking, and minimize the saved
 // values back in — four passes over the region of influence plus the ray
 // computation.
-func Sequential(t *machine.Thread, s *Scenario) *Output {
-	return SequentialOpt(t, s, Opt{})
-}
-
-// SequentialOpt is Sequential with explicit options.
-func SequentialOpt(t *machine.Thread, s *Scenario, o Opt) *Output {
+func Sequential(t *machine.Thread, s *Scenario, o Opt) *Output {
 	lay := NewLayout(t, s, o)
 	c := lay.Costs
 	temp := lay.AllocField(t, "seq")
@@ -265,12 +260,7 @@ func SequentialOpt(t *machine.Thread, s *Scenario, o Opt) *Output {
 // worker owns a private temp array; the shared masking array is updated
 // block-by-block under a lock per block (blocks×blocks over the terrain —
 // the paper ran ten-by-ten).
-func Coarse(t *machine.Thread, s *Scenario, workers, blocks int) *Output {
-	return CoarseOpt(t, s, workers, blocks, Opt{})
-}
-
-// CoarseOpt is Coarse with explicit options.
-func CoarseOpt(t *machine.Thread, s *Scenario, workers, blocks int, o Opt) *Output {
+func Coarse(t *machine.Thread, s *Scenario, workers, blocks int, o Opt) *Output {
 	if workers < 1 || blocks < 1 {
 		panic("terrain: Coarse needs ≥1 worker and ≥1 block")
 	}
@@ -400,12 +390,7 @@ func (lay *Layout) fillParallel(t *machine.Thread, site *ThreatSite, f *Field, t
 // as multithreaded row loops, the ray fan as parallel sectors. No locking is
 // needed because threats are processed one at a time; the parallelism is in
 // exactly the loops that are sequential in Program 3.
-func Fine(t *machine.Thread, s *Scenario, sectors, mergeChunks int) *Output {
-	return FineOpt(t, s, sectors, mergeChunks, Opt{})
-}
-
-// FineOpt is Fine with explicit options.
-func FineOpt(t *machine.Thread, s *Scenario, sectors, mergeChunks int, o Opt) *Output {
+func Fine(t *machine.Thread, s *Scenario, sectors, mergeChunks int, o Opt) *Output {
 	if sectors < 1 || mergeChunks < 1 {
 		panic("terrain: Fine needs ≥1 sector and ≥1 merge chunk")
 	}
@@ -466,12 +451,7 @@ func CoarseTempBytesFullScale(workers int) uint64 {
 // looks forward to — it overlaps the per-threat serial driver sections that
 // otherwise bound fine-grained scaling (Amdahl), at a memory cost of only
 // `workers` temp arrays rather than hundreds.
-func Hybrid(t *machine.Thread, s *Scenario, workers, sectors, mergeChunks, blocks int) *Output {
-	return HybridOpt(t, s, workers, sectors, mergeChunks, blocks, Opt{})
-}
-
-// HybridOpt is Hybrid with explicit options.
-func HybridOpt(t *machine.Thread, s *Scenario, workers, sectors, mergeChunks, blocks int, o Opt) *Output {
+func Hybrid(t *machine.Thread, s *Scenario, workers, sectors, mergeChunks, blocks int, o Opt) *Output {
 	if workers < 1 || sectors < 1 || mergeChunks < 1 || blocks < 1 {
 		panic("terrain: Hybrid needs ≥1 worker, sector, merge chunk and block")
 	}

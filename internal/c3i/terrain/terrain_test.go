@@ -184,9 +184,12 @@ func runSolver(t *testing.T, s *Scenario, solve func(*machine.Thread, *Scenario)
 	return out
 }
 
+// sequential is Sequential with default options, in runSolver's shape.
+func sequential(th *machine.Thread, s *Scenario) *Output { return Sequential(th, s, Opt{}) }
+
 func TestSequentialMaskingSane(t *testing.T) {
 	s := tiny(5, 6)
-	out := runSolver(t, s, Sequential)
+	out := runSolver(t, s, sequential)
 	if out.Masking.FiniteCells() == 0 {
 		t.Fatal("no cells masked")
 	}
@@ -199,11 +202,11 @@ func TestSequentialMaskingSane(t *testing.T) {
 
 func TestCoarseMatchesSequential(t *testing.T) {
 	s := tiny(6, 8)
-	want := runSolver(t, s, Sequential)
+	want := runSolver(t, s, sequential)
 	for _, workers := range []int{1, 3, 8} {
 		workers := workers
 		got := runSolver(t, s, func(th *machine.Thread, sc *Scenario) *Output {
-			return Coarse(th, sc, workers, 10)
+			return Coarse(th, sc, workers, 10, Opt{})
 		})
 		if !got.Masking.Equal(want.Masking) {
 			t.Errorf("workers=%d: coarse masking differs from sequential", workers)
@@ -214,10 +217,10 @@ func TestCoarseMatchesSequential(t *testing.T) {
 func TestCoarseBlockCountsVary(t *testing.T) {
 	s := tiny(7, 5)
 	a := runSolver(t, s, func(th *machine.Thread, sc *Scenario) *Output {
-		return Coarse(th, sc, 2, 4)
+		return Coarse(th, sc, 2, 4, Opt{})
 	})
 	b := runSolver(t, s, func(th *machine.Thread, sc *Scenario) *Output {
-		return Coarse(th, sc, 2, 10)
+		return Coarse(th, sc, 2, 10, Opt{})
 	})
 	if !a.Masking.Equal(b.Masking) {
 		t.Error("blocking factor changed the result")
@@ -229,11 +232,11 @@ func TestCoarseBlockCountsVary(t *testing.T) {
 
 func TestFineMatchesSequential(t *testing.T) {
 	s := tiny(8, 6)
-	want := runSolver(t, s, Sequential)
+	want := runSolver(t, s, sequential)
 	for _, cfg := range [][2]int{{1, 1}, {8, 4}, {48, 16}} {
 		cfg := cfg
 		got := runSolver(t, s, func(th *machine.Thread, sc *Scenario) *Output {
-			return Fine(th, sc, cfg[0], cfg[1])
+			return Fine(th, sc, cfg[0], cfg[1], Opt{})
 		})
 		if !got.Masking.Equal(want.Masking) {
 			t.Errorf("sectors=%d chunks=%d: fine masking differs", cfg[0], cfg[1])
@@ -244,11 +247,11 @@ func TestFineMatchesSequential(t *testing.T) {
 func TestFineMatchesOnMTA(t *testing.T) {
 	// Cross-machine determinism: the computation is machine-independent.
 	s := tiny(9, 4)
-	want := runSolver(t, s, Sequential)
+	want := runSolver(t, s, sequential)
 	var got *Output
 	e := mta.New(mta.Params{Procs: 2})
 	if _, err := e.Run("main", func(th *machine.Thread) {
-		got = Fine(th, s, 48, 16)
+		got = Fine(th, s, 48, 16, Opt{})
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -260,10 +263,10 @@ func TestFineMatchesOnMTA(t *testing.T) {
 func TestCoarseTempBytesGrowWithWorkers(t *testing.T) {
 	s := tiny(10, 4)
 	a := runSolver(t, s, func(th *machine.Thread, sc *Scenario) *Output {
-		return Coarse(th, sc, 2, 10)
+		return Coarse(th, sc, 2, 10, Opt{})
 	})
 	b := runSolver(t, s, func(th *machine.Thread, sc *Scenario) *Output {
-		return Coarse(th, sc, 4, 10)
+		return Coarse(th, sc, 4, 10, Opt{})
 	})
 	if b.TempBytes != 2*a.TempBytes {
 		t.Errorf("TempBytes: 4 workers %d, 2 workers %d (want 2x)", b.TempBytes, a.TempBytes)
@@ -310,8 +313,8 @@ func TestMinCombineAcrossThreats(t *testing.T) {
 	extra.ID = len(s2.Threats)
 	s2.Threats = append(s2.Threats, extra)
 
-	a := runSolver(t, s1, Sequential)
-	b := runSolver(t, s2, Sequential)
+	a := runSolver(t, s1, sequential)
+	b := runSolver(t, s2, sequential)
 	for i := range a.Masking.Vals {
 		if b.Masking.Vals[i] > a.Masking.Vals[i] {
 			t.Fatal("adding a threat increased a masking altitude")
@@ -347,8 +350,8 @@ func TestPropertyThreatOrderIrrelevant(t *testing.T) {
 		rng.Shuffle(len(shuffled.Threats), func(i, j int) {
 			shuffled.Threats[i], shuffled.Threats[j] = shuffled.Threats[j], shuffled.Threats[i]
 		})
-		a := runSolver(t, s, Sequential)
-		b := runSolver(t, shuffled, Sequential)
+		a := runSolver(t, s, sequential)
+		b := runSolver(t, shuffled, sequential)
 		return a.Masking.Equal(b.Masking)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 8}); err != nil {
@@ -371,9 +374,9 @@ func TestPropertyVariantsAgree(t *testing.T) {
 		var seq, coarse, fine *Output
 		e := smp.New(smp.Exemplar(4))
 		if _, err := e.Run("main", func(th *machine.Thread) {
-			seq = Sequential(th, s)
-			coarse = Coarse(th, s, workers, blocks)
-			fine = Fine(th, s, sectors, chunks)
+			seq = Sequential(th, s, Opt{})
+			coarse = Coarse(th, s, workers, blocks, Opt{})
+			fine = Fine(th, s, sectors, chunks, Opt{})
 		}); err != nil {
 			return false
 		}
@@ -386,11 +389,11 @@ func TestPropertyVariantsAgree(t *testing.T) {
 
 func TestHybridMatchesSequential(t *testing.T) {
 	s := tiny(12, 8)
-	want := runSolver(t, s, Sequential)
+	want := runSolver(t, s, sequential)
 	for _, cfg := range [][4]int{{1, 8, 4, 10}, {3, 16, 8, 4}, {4, 48, 16, 10}} {
 		cfg := cfg
 		got := runSolver(t, s, func(th *machine.Thread, sc *Scenario) *Output {
-			return Hybrid(th, sc, cfg[0], cfg[1], cfg[2], cfg[3])
+			return Hybrid(th, sc, cfg[0], cfg[1], cfg[2], cfg[3], Opt{})
 		})
 		if !got.Masking.Equal(want.Masking) {
 			t.Errorf("hybrid %v: masking differs from sequential", cfg)
@@ -401,10 +404,10 @@ func TestHybridMatchesSequential(t *testing.T) {
 func TestHybridTempBytesScaleWithWorkers(t *testing.T) {
 	s := tiny(13, 6)
 	a := runSolver(t, s, func(th *machine.Thread, sc *Scenario) *Output {
-		return Hybrid(th, sc, 2, 8, 4, 10)
+		return Hybrid(th, sc, 2, 8, 4, 10, Opt{})
 	})
 	b := runSolver(t, s, func(th *machine.Thread, sc *Scenario) *Output {
-		return Hybrid(th, sc, 4, 8, 4, 10)
+		return Hybrid(th, sc, 4, 8, 4, 10, Opt{})
 	})
 	if b.TempBytes != 2*a.TempBytes {
 		t.Errorf("TempBytes: 4 workers %d, 2 workers %d (want 2x)", b.TempBytes, a.TempBytes)
@@ -426,10 +429,10 @@ func TestHybridOverlapsSerialDrivers(t *testing.T) {
 		return res.Stats.Cycles
 	}
 	fine := elapsed(func(th *machine.Thread, sc *Scenario) *Output {
-		return Fine(th, sc, 96, 64)
+		return Fine(th, sc, 96, 64, Opt{})
 	})
 	hybrid := elapsed(func(th *machine.Thread, sc *Scenario) *Output {
-		return Hybrid(th, sc, 4, 48, 32, 10)
+		return Hybrid(th, sc, 4, 48, 32, 10, Opt{})
 	})
 	if hybrid >= fine {
 		t.Errorf("hybrid (%.0f cycles) not faster than fine (%.0f) on 8 procs", hybrid, fine)

@@ -147,7 +147,7 @@ func init() {
 				Name: "sequential", Style: suite.Sequential,
 				Defaults: suite.Params{"pipelined": 0},
 				Run: func(t *machine.Thread, sc suite.Scenario, p suite.Params) suite.Output {
-					return output(SequentialWithCosts(t, sc.(*Scenario), costsFrom(p)))
+					return output(Sequential(t, sc.(*Scenario), costsFrom(p)))
 				},
 			},
 			{
@@ -156,7 +156,7 @@ func init() {
 				Name: "coarse", Style: suite.Coarse,
 				Defaults: suite.Params{"chunks": 16, "pipelined": 0},
 				Run: func(t *machine.Thread, sc suite.Scenario, p suite.Params) suite.Output {
-					return output(ChunkedWithCosts(t, sc.(*Scenario), p["chunks"], costsFrom(p)))
+					return output(Chunked(t, sc.(*Scenario), p["chunks"], costsFrom(p)))
 				},
 			},
 			{
@@ -164,7 +164,7 @@ func init() {
 				// threat, shared array, atomic fetch-and-add append.
 				Name: "fine", Style: suite.Fine,
 				Run: func(t *machine.Thread, sc suite.Scenario, p suite.Params) suite.Output {
-					return output(FineGrained(t, sc.(*Scenario)))
+					return output(FineGrained(t, sc.(*Scenario), DefaultCosts))
 				},
 			},
 		},

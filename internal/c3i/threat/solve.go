@@ -105,12 +105,7 @@ type Output struct {
 
 // Sequential is Program 1: triple-nested scan with one shared interval count
 // and array. It runs entirely on the calling thread.
-func Sequential(t *machine.Thread, s *Scenario) *Output {
-	return SequentialWithCosts(t, s, DefaultCosts)
-}
-
-// SequentialWithCosts is Sequential with an explicit cost calibration.
-func SequentialWithCosts(t *machine.Thread, s *Scenario, c Costs) *Output {
+func Sequential(t *machine.Thread, s *Scenario, c Costs) *Output {
 	lay := NewLayout(t, s, c)
 	capInts := len(s.Threats) * len(s.Weapons) * maxWindowsPerPair
 	region := t.Alloc(s.Name+" intervals", uint64(capInts)*intervalBytes)
@@ -135,12 +130,7 @@ func SequentialWithCosts(t *machine.Thread, s *Scenario, c Costs) *Output {
 // loop over chunks, each chunk appending to its own generously-oversized
 // interval array and its own count. Results are deterministic: chunks are
 // concatenated in chunk order.
-func Chunked(t *machine.Thread, s *Scenario, chunks int) *Output {
-	return ChunkedWithCosts(t, s, chunks, DefaultCosts)
-}
-
-// ChunkedWithCosts is Chunked with an explicit cost calibration.
-func ChunkedWithCosts(t *machine.Thread, s *Scenario, chunks int, c Costs) *Output {
+func Chunked(t *machine.Thread, s *Scenario, chunks int, c Costs) *Output {
 	lay := NewLayout(t, s, c)
 	nt := len(s.Threats)
 	perChunk := make([][]Interval, chunks)
@@ -191,12 +181,7 @@ func ChunkedWithCosts(t *machine.Thread, s *Scenario, chunks int, c Costs) *Outp
 // nondeterministic (it depends on thread interleaving), which is exactly the
 // testing/debugging complication the paper notes; the interval *set* equals
 // the sequential result.
-func FineGrained(t *machine.Thread, s *Scenario) *Output {
-	return FineGrainedWithCosts(t, s, DefaultCosts)
-}
-
-// FineGrainedWithCosts is FineGrained with an explicit cost calibration.
-func FineGrainedWithCosts(t *machine.Thread, s *Scenario, c Costs) *Output {
+func FineGrained(t *machine.Thread, s *Scenario, c Costs) *Output {
 	lay := NewLayout(t, s, c)
 	nt := len(s.Threats)
 	capInts := nt * len(s.Weapons) * maxWindowsPerPair

@@ -183,9 +183,15 @@ func runSolver(t *testing.T, s *Scenario, solve func(*machine.Thread, *Scenario)
 	return out
 }
 
+// sequential is Sequential at the calibrated costs, in runSolver's shape.
+func sequential(th *machine.Thread, s *Scenario) *Output { return Sequential(th, s, DefaultCosts) }
+
+// fineGrained is FineGrained at the calibrated costs, in runSolver's shape.
+func fineGrained(th *machine.Thread, s *Scenario) *Output { return FineGrained(th, s, DefaultCosts) }
+
 func TestSequentialOutputValid(t *testing.T) {
 	s := smallScenario(2)
-	out := runSolver(t, s, Sequential)
+	out := runSolver(t, s, sequential)
 	if len(out.Intervals) == 0 {
 		t.Fatal("no intervals")
 	}
@@ -196,11 +202,11 @@ func TestSequentialOutputValid(t *testing.T) {
 
 func TestChunkedMatchesSequential(t *testing.T) {
 	s := smallScenario(3)
-	want := runSolver(t, s, Sequential)
+	want := runSolver(t, s, sequential)
 	for _, chunks := range []int{1, 2, 7, 30, 64} {
 		chunks := chunks
 		got := runSolver(t, s, func(th *machine.Thread, sc *Scenario) *Output {
-			return Chunked(th, sc, chunks)
+			return Chunked(th, sc, chunks, DefaultCosts)
 		})
 		if err := Verify(got.Intervals, want.Intervals); err != nil {
 			t.Errorf("chunks=%d: %v", chunks, err)
@@ -212,9 +218,9 @@ func TestChunkedDeterministicOrder(t *testing.T) {
 	// Chunked output must be in threat-major order (chunks concatenated in
 	// order), exactly like the sequential program.
 	s := smallScenario(4)
-	seqOut := runSolver(t, s, Sequential)
+	seqOut := runSolver(t, s, sequential)
 	chunkOut := runSolver(t, s, func(th *machine.Thread, sc *Scenario) *Output {
-		return Chunked(th, sc, 8)
+		return Chunked(th, sc, 8, DefaultCosts)
 	})
 	for i := range seqOut.Intervals {
 		if seqOut.Intervals[i] != chunkOut.Intervals[i] {
@@ -225,8 +231,8 @@ func TestChunkedDeterministicOrder(t *testing.T) {
 
 func TestFineGrainedMatchesSequentialAsSet(t *testing.T) {
 	s := smallScenario(5)
-	want := runSolver(t, s, Sequential)
-	got := runSolver(t, s, FineGrained)
+	want := runSolver(t, s, sequential)
+	got := runSolver(t, s, fineGrained)
 	if err := Verify(got.Intervals, want.Intervals); err != nil {
 		t.Fatal(err)
 	}
@@ -241,13 +247,13 @@ func TestFineGrainedOrderDiffersOnMTA(t *testing.T) {
 	var seqOut, fgOut *Output
 	e := mta.New(mta.Params{Procs: 1})
 	if _, err := e.Run("main", func(th *machine.Thread) {
-		seqOut = Sequential(th, s)
+		seqOut = Sequential(th, s, DefaultCosts)
 	}); err != nil {
 		t.Fatal(err)
 	}
 	e2 := mta.New(mta.Params{Procs: 1})
 	if _, err := e2.Run("main", func(th *machine.Thread) {
-		fgOut = FineGrained(th, s)
+		fgOut = FineGrained(th, s, DefaultCosts)
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -271,10 +277,10 @@ func TestChunkedArrayBytesGrowWithChunks(t *testing.T) {
 	// intervals array."
 	s := smallScenario(8)
 	small := runSolver(t, s, func(th *machine.Thread, sc *Scenario) *Output {
-		return Chunked(th, sc, 2)
+		return Chunked(th, sc, 2, DefaultCosts)
 	})
 	big := runSolver(t, s, func(th *machine.Thread, sc *Scenario) *Output {
-		return Chunked(th, sc, 30)
+		return Chunked(th, sc, 30, DefaultCosts)
 	})
 	if big.ArrayBytes < small.ArrayBytes {
 		t.Errorf("ArrayBytes: 30 chunks %d < 2 chunks %d", big.ArrayBytes, small.ArrayBytes)
@@ -305,7 +311,7 @@ func TestVerifyOrderInsensitive(t *testing.T) {
 
 func TestValidateCatchesCorruption(t *testing.T) {
 	s := smallScenario(9)
-	out := runSolver(t, s, Sequential)
+	out := runSolver(t, s, sequential)
 	if len(out.Intervals) == 0 {
 		t.Skip("no intervals")
 	}
@@ -339,8 +345,8 @@ func TestPropertyChunkingEquivalence(t *testing.T) {
 		var want, got *Output
 		e := smp.New(smp.AlphaStation())
 		if _, err := e.Run("main", func(th *machine.Thread) {
-			want = Sequential(th, s)
-			got = Chunked(th, s, chunks)
+			want = Sequential(th, s, DefaultCosts)
+			got = Chunked(th, s, chunks, DefaultCosts)
 		}); err != nil {
 			return false
 		}
@@ -366,7 +372,7 @@ func TestPropertyIntervalInvariants(t *testing.T) {
 		var out *Output
 		e := smp.New(smp.AlphaStation())
 		if _, err := e.Run("main", func(th *machine.Thread) {
-			out = Sequential(th, s)
+			out = Sequential(th, s, DefaultCosts)
 		}); err != nil {
 			return false
 		}

@@ -3,6 +3,7 @@ package run
 import (
 	"context"
 	"errors"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -230,6 +231,29 @@ func TestRunnerRunPreCancelled(t *testing.T) {
 	}
 	if r.Executions() != 0 {
 		t.Error("pre-cancelled Run executed anyway")
+	}
+}
+
+// TestRunnerRejectsMultiProcAlpha: the AlphaStation model has one processor
+// whatever a Spec's Procs says, so an alpha Spec with two must fail before
+// it executes rather than rerun the one-processor cell under a p2 key.
+func TestRunnerRejectsMultiProcAlpha(t *testing.T) {
+	setHook(nil)
+	r := NewRunner(0)
+	ctx := context.Background()
+	spec := hookSpec(100)
+	spec.Procs = 2
+	if _, err := r.Run(ctx, spec); err == nil || !strings.Contains(err.Error(), "alpha") {
+		t.Errorf("alpha p2 Run returned %v, want an error naming the platform", err)
+	}
+	if got := r.Executions(); got != 0 {
+		t.Errorf("alpha p2 Run executed %d times, want 0", got)
+	}
+	if _, err := r.Run(ctx, hookSpec(100)); err != nil {
+		t.Errorf("alpha p1 Run: %v", err)
+	}
+	if got := r.Executions(); got != 1 {
+		t.Errorf("alpha p1 Run: %d executions, want 1", got)
 	}
 }
 

@@ -74,6 +74,12 @@ func (s Spec) Normalized() (Spec, error) {
 	if s.Procs < 1 {
 		return Spec{}, fmt.Errorf("run: spec %s/%s needs a positive proc count, got %d", s.Workload, s.Variant, s.Procs)
 	}
+	// The AlphaStation model is built with one processor whatever Procs
+	// says, so a larger count would file the one-processor run under a
+	// second key that claims more processors than it ran on.
+	if s.Platform == "alpha" && s.Procs > 1 {
+		return Spec{}, fmt.Errorf("run: platform alpha has one processor, not %d", s.Procs)
+	}
 	if s.NetLatencyMult != 0 || s.NetBandwidthEff != 0 {
 		if s.Platform != "tera" {
 			return Spec{}, fmt.Errorf("run: network overrides apply only to platform tera, not %q", s.Platform)
